@@ -1,6 +1,7 @@
 (* Kernel microbenchmarks: the lazy reference paths vs the compiled
-   flat-array paths introduced by the raw-speed pass, plus the chunked
-   sweep-grid dispatch.  Hand-rolled timing (median-free, quota-driven
+   flat-array paths introduced by the raw-speed pass, the chunked
+   sweep-grid dispatch, and the single-pass coverage check against the
+   full-profile verdict.  Hand-rolled timing (median-free, quota-driven
    mean) so the CI job stays cheap and dependency-free; the Bechamel
    suite in main.ml remains the precise instrument.
 
@@ -21,9 +22,9 @@
    measured with a Gc.minor_words meter, amortised per inner operation
    (candidate scanned, prefix element, flat leg slot), and the run
    fails if a statically-zero kernel allocates (>= 0.5 minor words per
-   op — float-returning kernels legitimately pay the one 2-word ABI
-   return box per *call*, which amortises to ~0 per op; a per-op box
-   or closure shows up as >= 2).
+   op; a per-op box or closure shows up as >= 2).  Float-returning
+   kernels pay one 2-word ABI return box per *call*; the meter measures
+   it separately and subtracts it (see [float_return]).
 
    The benchmark compares steady-state evaluation: both paths are
    warmed first, so the lazy side pays its per-access mutex + hashtable
@@ -136,6 +137,48 @@ let grid_batch () =
     candidate_ns = time_ns ~quota:!quota (run 16);
   }
 
+(* --- kernel 4: the covering certificate's coverage check ------------ *)
+
+(* The verdict the sweep reported before it became single-pass: build
+   the whole multiplicity profile, then search it for the first piece
+   short of the demand. *)
+let profile_verdict ~demand ~within:(lo, hi) ivs =
+  match FS.Sweep.coverage_profile ~within:(lo, hi) ivs with
+  | [] ->
+      let c = FS.Sweep.multiplicity_at lo ivs in
+      if c >= demand then FS.Sweep.Covered
+      else FS.Sweep.Gap { from_ = lo; upto = lo; at = lo; multiplicity = c }
+  | pieces -> (
+      match List.find_opt (fun (_, _, c) -> c < demand) pieces with
+      | None -> FS.Sweep.Covered
+      | Some (a, b, c) ->
+          FS.Sweep.Gap
+            { from_ = a; upto = b; at = 0.5 *. (a +. b); multiplicity = c })
+
+let sweep_check () =
+  (* the ORC cover of the (4,5,2) compute-batch instance on [1, 2000],
+     a little above the bound so every piece is swept (no early exit) *)
+  let p = FS.Params.make ~m:4 ~k:5 ~f:2 in
+  let turns = FS.Orc_cover.of_mray_group (FS.Mray_exponential.make p) in
+  let lambda = 1.05 *. FS.Formulas.of_params p and within = (1., 2000.) in
+  let ivs =
+    List.concat_map
+      (fun t ->
+        List.map snd (FS.Orc_cover.cover_intervals_within t ~lambda ~within))
+      (Array.to_list turns)
+  in
+  let demand = FS.Params.q p in
+  let v = FS.Sweep.check ~demand ~within ivs in
+  assert (v = FS.Sweep.Covered);
+  assert (v = profile_verdict ~demand ~within ivs);
+  {
+    name = "covering/sweep-check";
+    baseline_ns =
+      time_ns ~quota:!quota (fun () -> profile_verdict ~demand ~within ivs);
+    candidate_ns =
+      time_ns ~quota:!quota (fun () -> FS.Sweep.check ~demand ~within ivs);
+  }
+
 (* --- Gc cross-check of the lint.budget zero-alloc kernels ----------- *)
 
 type gc_result = { gname : string; words_per_op : float }
@@ -168,14 +211,15 @@ let gc_compiled_scan () =
   in
   let k = Array.length flats in
   let times = Array.make k infinity in
+  let cursors = Array.make k 0 in
   let out = [| neg_infinity; 0.; 0. |] in
   let ops = Array.fold_left (fun acc a -> acc + Array.length a) 0 depths in
   {
     gname = "Adversary.compiled_scan";
     words_per_op =
       minor_words_per_op ~ops ~runs:500 (fun () ->
-          FS.Adversary.compiled_scan ~flats ~depths ~times ~f:1 ~k ~horizon
-            ~out);
+          FS.Adversary.compiled_scan ~flats ~depths ~times ~cursors ~f:1 ~k
+            ~horizon ~out);
   }
 
 let gc_prefix_walk () =
@@ -191,6 +235,15 @@ let gc_prefix_walk () =
           FS.Turning.compiled_prefix_walk c depth);
   }
 
+(* A float-returning call boxes its result on the way out (OCaml has no
+   unboxed float returns without flambda): one 2-word block per call,
+   owned by the calling convention rather than by the kernel's loop.
+   The meter measures that box on a float-returning function with a
+   trivial body and subtracts it per call before amortising over the
+   kernel's inner operations, so what remains is what the lint's zero
+   budget is about. *)
+let[@inline never] float_return (a : float array) = a.(0) +. 1.
+
 let gc_flat_first_visit () =
   let p = FS.Params.line ~k:3 ~f:1 in
   let strat = FS.Mray_exponential.make p in
@@ -198,11 +251,18 @@ let gc_flat_first_visit () =
   let tr = FS.Trajectory.compile (FS.Mray_exponential.itineraries strat).(0) in
   let fl = FS.Trajectory.flatten tr ~horizon in
   let ops = Array.length fl.FS.Trajectory.flat_starts in
+  let runs = 20000 in
+  let scratch = [| 0. |] in
+  let return_box =
+    minor_words_per_op ~ops:1 ~runs (fun () -> float_return scratch)
+  in
+  let per_call =
+    minor_words_per_op ~ops:1 ~runs (fun () ->
+        FS.Trajectory.flat_first_visit fl ~ray:0 ~dist:123.4 ~horizon)
+  in
   {
     gname = "Trajectory.flat_first_visit";
-    words_per_op =
-      minor_words_per_op ~ops ~runs:20000 (fun () ->
-          FS.Trajectory.flat_first_visit fl ~ray:0 ~dist:123.4 ~horizon);
+    words_per_op = (per_call -. return_box) /. float_of_int ops;
   }
 
 (* The static contract drives the dynamic check: every lint.budget
@@ -266,7 +326,9 @@ let () =
     prerr_endline "kernels.exe: --quota must be positive";
     exit 2
   end;
-  let results = [ turning_prefix (); adversary_scan (); grid_batch () ] in
+  let results =
+    [ turning_prefix (); adversary_scan (); grid_batch (); sweep_check () ]
+  in
   let gc_results =
     [ gc_compiled_scan (); gc_prefix_walk (); gc_flat_first_visit () ]
   in

@@ -30,37 +30,49 @@ let sorted_dedup a =
     Array.sub a 0 !w
   end
 
-(* Per-ray candidate depths, each ascending and duplicate-free.  Both
-   kernels scan rays in index order and depths in ascending order, so
-   the supremum fold visits identical (ray, depth) sequences — same
-   ratio, same witness. *)
-let candidate_depths trajectories ~eps ~n ~time_horizon =
-  if n < 1. then
-    Search_error.invalid ~where:"Adversary.candidate_targets" "need n >= 1";
-  let world = Trajectory.world trajectories.(0) in
-  let m = World.arity world in
-  let depths_per_ray = Array.make m [] in
+(* Per-ray candidate depths, each ascending and duplicate-free, from the
+   leg endpoints of the flattened prefixes.  Both kernels scan rays in
+   index order and depths in ascending order, so the supremum fold
+   visits identical (ray, depth) sequences — same ratio, same witness. *)
+let candidate_depths flats ~m ~eps ~n =
+  let cap = Array.make m 2 in
+  Array.iter
+    (fun fl ->
+      Array.iter (fun ray -> cap.(ray) <- cap.(ray) + 3) fl.Trajectory.flat_rays)
+    flats;
+  let depths = Array.map (fun c -> Array.make c 0.) cap in
+  let fill = Array.make m 0 in
   let add ray d =
-    if d >= 1. && d <= n then depths_per_ray.(ray) <- d :: depths_per_ray.(ray)
+    if d >= 1. && d <= n then begin
+      depths.(ray).(fill.(ray)) <- d;
+      fill.(ray) <- fill.(ray) + 1
+    end
   in
   for ray = 0 to m - 1 do
     add ray 1.;
     add ray n
   done;
   Array.iter
-    (fun tr ->
-      List.iter
-        (fun (ray, d) ->
+    (fun fl ->
+      Array.iteri
+        (fun j ray ->
+          let d = fl.Trajectory.flat_tos.(j) in
           add ray d;
           add ray (d *. (1. -. eps));
           add ray (d *. (1. +. eps)))
-        (Trajectory.leg_endpoints tr ~horizon:time_horizon))
-    trajectories;
-  Array.map (fun ds -> sorted_dedup (Array.of_list ds)) depths_per_ray
+        fl.Trajectory.flat_rays)
+    flats;
+  Array.mapi (fun ray ds -> sorted_dedup (Array.sub ds 0 fill.(ray))) depths
+
+let flatten_all trajectories ~n ~time_horizon =
+  if n < 1. then
+    Search_error.invalid ~where:"Adversary.candidate_targets" "need n >= 1";
+  Array.map (fun tr -> Trajectory.flatten tr ~horizon:time_horizon) trajectories
 
 let candidate_targets trajectories ?(eps = default_eps) ~n ~time_horizon () =
   let world = Trajectory.world trajectories.(0) in
-  let depths = candidate_depths trajectories ~eps ~n ~time_horizon in
+  let flats = flatten_all trajectories ~n ~time_horizon in
+  let depths = candidate_depths flats ~m:(World.arity world) ~eps ~n in
   List.concat
     (List.mapi
        (fun ray ds ->
@@ -71,24 +83,31 @@ let candidate_targets trajectories ?(eps = default_eps) ~n ~time_horizon () =
    hold it to a zero budget and the bench can put a Gc meter on it.
    Writes [best ratio; best ray (as float); best dist] into [out]
    (unit return — a float return would box on the way out); [times] is
-   the reused (f+1)-st-order-statistic scratch.  The flat first-visit
-   probe is inlined (a cross-module call pays the float-return box) and
-   the per-candidate [Array.sort] is an in-place insertion sort — [k]
-   is the robot count, single digits, where insertion sort on an
-   almost-sorted scratch beats the closure-per-comparison of
-   [Array.sort Float.compare]. *)
-let[@hot] compiled_scan ~flats ~depths ~times ~f ~k ~horizon ~out =
+   the reused (f+1)-st-order-statistic scratch and [cursors] the reused
+   per-robot leg cursor.  The flat first-visit probe is inlined (a
+   cross-module call pays the float-return box) and resumes from the
+   robot's cursor: on one ray the first leg covering depth [d] never
+   moves to an earlier leg as [d] grows (see the .mli), so each robot's
+   legs are walked once per ray rather than once per candidate.  The
+   per-candidate [Array.sort] is an in-place insertion sort — [k] is the
+   robot count, single digits, where insertion sort on an almost-sorted
+   scratch beats the closure-per-comparison of [Array.sort
+   Float.compare]. *)
+let[@hot] compiled_scan ~flats ~depths ~times ~cursors ~f ~k ~horizon ~out =
   out.(0) <- neg_infinity;
   out.(1) <- 0.;
   out.(2) <- 0.;
   for ray = 0 to Array.length depths - 1 do
     let ds = depths.(ray) in
+    for r = 0 to k - 1 do
+      cursors.(r) <- 0
+    done;
     for di = 0 to Array.length ds - 1 do
       let d = ds.(di) in
       for r = 0 to k - 1 do
         let fl = flats.(r) in
         let len = Array.length fl.Trajectory.flat_starts in
-        let j = ref 0 in
+        let j = ref cursors.(r) in
         let visit = ref infinity in
         let scanning = ref true in
         while !scanning && !j < len do
@@ -106,6 +125,7 @@ let[@hot] compiled_scan ~flats ~depths ~times ~f ~k ~horizon ~out =
           end
           else incr j
         done;
+        cursors.(r) <- !j;
         times.(r) <- !visit
       done;
       for i = 1 to k - 1 do
@@ -145,7 +165,8 @@ let worst_case trajectories ~f ?(eps = default_eps)
     Search_error.invalid ~where:"Adversary.worst_case" "no robots";
   let time_horizon = ratio_cap *. n in
   let world = Trajectory.world trajectories.(0) in
-  let depths = candidate_depths trajectories ~eps ~n ~time_horizon in
+  let flats = flatten_all trajectories ~n ~time_horizon in
+  let depths = candidate_depths flats ~m:(World.arity world) ~eps ~n in
   let scanned = Array.fold_left (fun acc a -> acc + Array.length a) 0 depths in
   match kernel with
   | `Lazy ->
@@ -176,20 +197,18 @@ let worst_case trajectories ~f ?(eps = default_eps)
           { ratio; witness; detection_time; candidates_scanned = scanned })
   | `Compiled ->
       if f < 0 then Search_error.invalid ~where:"Adversary.worst_case" "f < 0";
-      (* fast path: flat leg arrays, a reused scratch array for the
-         (f+1)-st smallest visit time, no per-candidate allocation.  The
-         arithmetic (visit times, the (f+1)-st order statistic, the
-         ratio) matches the lazy path bit for bit, and candidates are
-         visited in the same order, so ratio and witness agree exactly. *)
-      let flats =
-        Array.map
-          (fun tr -> Trajectory.flatten tr ~horizon:time_horizon)
-          trajectories
-      in
+      (* fast path: flat leg arrays, reused scratch arrays for the
+         (f+1)-st smallest visit time and the per-robot leg cursors, no
+         per-candidate allocation.  The arithmetic (visit times, the
+         (f+1)-st order statistic, the ratio) matches the lazy path bit
+         for bit, and candidates are visited in the same order, so ratio
+         and witness agree exactly. *)
       let k = Array.length trajectories in
       let times = Array.make k infinity in
+      let cursors = Array.make k 0 in
       let out = [| neg_infinity; 0.; 0. |] in
-      compiled_scan ~flats ~depths ~times ~f ~k ~horizon:time_horizon ~out;
+      compiled_scan ~flats ~depths ~times ~cursors ~f ~k ~horizon:time_horizon
+        ~out;
       if Float.equal out.(0) neg_infinity then
         Search_error.invalid ~where:"Adversary.worst_case"
           "empty candidate set";

@@ -41,6 +41,7 @@ val compiled_scan :
   flats:Trajectory.flat array ->
   depths:float array array ->
   times:float array ->
+  cursors:int array ->
   f:int ->
   k:int ->
   horizon:float ->
@@ -49,13 +50,32 @@ val compiled_scan :
 (** The allocation-free inner loop of the [`Compiled] kernel, exposed
     so the bench harness can put a Gc meter directly on it.  [flats]
     are the [k] flattened trajectories, [depths] the per-ray candidate
-    depths (ascending, duplicate-free), [times] a reused length-[k]
-    scratch.  Writes [[| best ratio; best ray (as float); best dist |]]
-    into [out] ([out.(0) = neg_infinity] when the candidate set is
-    empty); raises the {!Search_numerics.Search_error.Non_convergence}
-    NaN contract of [Stats.sup_add].  A [@hot] lint root: zero
-    reachable allocation sites, checked by [lint --hotpath] and
-    cross-checked dynamically by [bench/kernels.exe]. *)
+    depths (ascending, duplicate-free, all [>= 1.]), [times] and
+    [cursors] reused length-[k] scratch.  Writes
+    [[| best ratio; best ray (as float); best dist |]] into [out]
+    ([out.(0) = neg_infinity] when the candidate set is empty); raises
+    the {!Search_numerics.Search_error.Non_convergence} NaN contract of
+    [Stats.sup_add].  A [@hot] lint root: zero reachable allocation
+    sites, checked by [lint --hotpath] and cross-checked dynamically by
+    [bench/kernels.exe].
+
+    {b Monotone first visit.}  Fix a ray and a robot, and let [j(d)] be
+    the first leg (in time order) that covers depth [d >= 1] on that
+    ray.  Then [j] is non-decreasing in [d]: the robot starts at the
+    origin and moves continuously, and rays meet only at the origin, so
+    before it reaches depth [d' > d] on the ray it passes depth [d] on
+    it.  The scan therefore keeps one cursor per robot, resets it at
+    each ray, and resumes each probe from the previous candidate's leg
+    instead of from leg 0 — each robot's prefix is walked once per ray.
+    The argument holds exactly in floats, not just in the reals:
+    consecutive legs share their endpoint as the same float (a leg's
+    [d_from] is the previous leg's [d_to], and a ray change goes through
+    an exact [0.]), so a leg covering [d'] whose smaller endpoint
+    exceeds [d] is preceded by a leg on the same ray ending at that same
+    endpoint, and following that chain back to the [0.] start must
+    cross a leg with [lo <= d <= hi] under the very comparisons the
+    probe makes.  Neither the probed leg nor the visit-time expression
+    changes, so the result is bit-identical to a probe from leg 0. *)
 
 val worst_case :
   Trajectory.t array -> f:int -> ?eps:float -> ?ratio_cap:float
@@ -63,10 +83,12 @@ val worst_case :
 (** Supremum of the crash-fault detection ratio over {!candidate_targets}.
     Requires a non-empty trajectory array and [n >= 1.].
 
-    [kernel] selects the scan implementation: [`Compiled] (default)
-    flattens each trajectory's leg prefix into arrays once and runs an
-    allocation-free inner loop with a reused scratch array for the
-    (f+1)-st-smallest visit time; [`Lazy] evaluates each candidate
+    Each trajectory's leg prefix is flattened into arrays once
+    ({!Trajectory.flatten}); the candidate depths are read off those
+    arrays.  [kernel] selects the scan implementation: [`Compiled]
+    (default) runs {!compiled_scan}, an allocation-free inner loop with
+    reused scratch arrays for the (f+1)-st-smallest visit time and the
+    per-robot leg cursors; [`Lazy] evaluates each candidate
     through {!Engine.detection_ratio} (consed lists, per-candidate
     sort).  Both visit the candidates in the same order and perform the
     same float operations, so [ratio], [witness] and [detection_time]

@@ -3,6 +3,7 @@ module Lazy_seq = Search_numerics.Lazy_seq
 type t = {
   label : string;
   world : World.t;
+  raw : int -> World.point;
   waypoints : World.point Lazy_seq.t;
 }
 
@@ -12,7 +13,7 @@ let make ?(label = "robot") ~world wp =
     (* re-validate through the world's constructor *)
     World.point world ~ray:p.World.ray ~dist:p.World.dist
   in
-  { label; world; waypoints = Lazy_seq.of_fun check }
+  { label; world; raw = check; waypoints = Lazy_seq.of_fun check }
 
 let of_excursions ?label ~world exc =
   (* Interleave explicit origin returns so that same-ray consecutive rounds
@@ -37,3 +38,4 @@ let of_line_turns ?label turns =
 let world t = t.world
 let label t = t.label
 let waypoint t i = Lazy_seq.get t.waypoints i
+let raw_waypoint t i = t.raw i

@@ -39,3 +39,8 @@ val label : t -> string
 
 val waypoint : t -> int -> World.point
 (** The i-th waypoint (1-based). *)
+
+val raw_waypoint : t -> int -> World.point
+(** {!waypoint} without the memo: recomputes (and re-validates) the
+    waypoint on every call.  For a single forward walk, where each index
+    is read once and the memo's lock and table probe are pure cost. *)

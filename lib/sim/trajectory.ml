@@ -22,65 +22,72 @@ type gen_state = {
 
 let duration d_from d_to = Float.abs (d_to -. d_from)
 
-let compile itinerary =
-  let step state =
-    match state.stash with
-    | Some (ray, d_to) ->
-        let l = { ray; d_from = 0.; d_to; t_start = state.now } in
+(* One step of the leg generator, reading waypoints through [waypoint]:
+   the memoised accessor behind the lazy leg sequence, the raw one for
+   [flatten]'s single forward walk. *)
+let step itinerary waypoint state =
+  match state.stash with
+  | Some (ray, d_to) ->
+      let l = { ray; d_from = 0.; d_to; t_start = state.now } in
+      ( l,
+        {
+          next_wp = state.next_wp;
+          pos = World.point (Itinerary.world itinerary) ~ray ~dist:d_to;
+          now = state.now +. d_to;
+          stash = None;
+        } )
+  | None ->
+      (* Find the next waypoint that produces a nonzero move; bound the
+         scan so a constant itinerary raises instead of spinning. *)
+      let rec advance i guard =
+        if guard > 1000 then
+          stalled ~steps:guard
+            (Printf.sprintf "%s: 1000 consecutive stationary waypoints"
+               (Itinerary.label itinerary))
+        else
+          let wp = waypoint i in
+          if World.equal_point wp state.pos then advance (i + 1) (guard + 1)
+          else (i, wp)
+      in
+      let i, wp = advance state.next_wp 0 in
+      let same_ray =
+        World.is_origin state.pos || World.is_origin wp
+        || Int.equal wp.World.ray state.pos.World.ray
+      in
+      if same_ray then
+        let ray =
+          if World.is_origin wp then state.pos.World.ray else wp.World.ray
+        in
+        let d_from = state.pos.World.dist and d_to = wp.World.dist in
+        let l = { ray; d_from; d_to; t_start = state.now } in
         ( l,
           {
-            next_wp = state.next_wp;
-            pos = World.point (Itinerary.world itinerary) ~ray ~dist:d_to;
-            now = state.now +. d_to;
+            next_wp = i + 1;
+            pos = wp;
+            now = state.now +. duration d_from d_to;
             stash = None;
           } )
-    | None ->
-        (* Find the next waypoint that produces a nonzero move; bound the
-           scan so a constant itinerary raises instead of spinning. *)
-        let rec advance i guard =
-          if guard > 1000 then
-            stalled ~steps:guard
-              (Printf.sprintf "%s: 1000 consecutive stationary waypoints"
-                 (Itinerary.label itinerary))
-          else
-            let wp = Itinerary.waypoint itinerary i in
-            if World.equal_point wp state.pos then advance (i + 1) (guard + 1)
-            else (i, wp)
+      else
+        (* inbound leg now; outbound leg stashed *)
+        let d_from = state.pos.World.dist in
+        let l =
+          { ray = state.pos.World.ray; d_from; d_to = 0.; t_start = state.now }
         in
-        let i, wp = advance state.next_wp 0 in
-        let same_ray =
-          World.is_origin state.pos || World.is_origin wp
-          || Int.equal wp.World.ray state.pos.World.ray
-        in
-        if same_ray then
-          let ray =
-            if World.is_origin wp then state.pos.World.ray else wp.World.ray
-          in
-          let d_from = state.pos.World.dist and d_to = wp.World.dist in
-          let l = { ray; d_from; d_to; t_start = state.now } in
-          ( l,
-            {
-              next_wp = i + 1;
-              pos = wp;
-              now = state.now +. duration d_from d_to;
-              stash = None;
-            } )
-        else
-          (* inbound leg now; outbound leg stashed *)
-          let d_from = state.pos.World.dist in
-          let l =
-            { ray = state.pos.World.ray; d_from; d_to = 0.; t_start = state.now }
-          in
-          ( l,
-            {
-              next_wp = i + 1;
-              pos = World.origin;
-              now = state.now +. d_from;
-              stash = Some (wp.World.ray, wp.World.dist);
-            } )
-  in
-  let init = { next_wp = 1; pos = World.origin; now = 0.; stash = None } in
-  { itinerary; legs = Lazy_seq.unfold ~init step }
+        ( l,
+          {
+            next_wp = i + 1;
+            pos = World.origin;
+            now = state.now +. d_from;
+            stash = Some (wp.World.ray, wp.World.dist);
+          } )
+
+let init = { next_wp = 1; pos = World.origin; now = 0.; stash = None }
+
+let compile itinerary =
+  {
+    itinerary;
+    legs = Lazy_seq.unfold ~init (step itinerary (Itinerary.waypoint itinerary));
+  }
 
 let itinerary t = t.itinerary
 let world t = Itinerary.world t.itinerary
@@ -160,30 +167,53 @@ let leg_endpoints ?(max_legs = default_max_legs) t ~horizon =
 (* Flat (struct-of-arrays) view of the leg prefix within a horizon: the
    adversary probes the same prefix once per candidate target, and the
    lazy path pays a mutex + hashtable probe per leg per candidate.  The
-   flat view is built in one walk and scanned with plain array reads. *)
+   flat view is built by stepping the leg generator directly — raw
+   waypoints, no leg or waypoint memo — and scanned with plain array
+   reads.  Same legs as [fold_legs] with the same horizon cut and the
+   same [max_legs] guard, so the prefix is identical leg for leg. *)
 type flat = {
   flat_rays : int array;
   flat_froms : float array;
+  flat_tos : float array;
   flat_los : float array;
   flat_his : float array;
   flat_starts : float array;
 }
 
 let flatten ?(max_legs = default_max_legs) t ~horizon =
-  let legs =
-    fold_legs t ~max_legs
-      ~continue:(fun l -> l.t_start <= horizon)
-      ~f:(fun acc l -> l :: acc)
-      []
-    |> List.rev |> Array.of_list
+  let step = step t.itinerary (Itinerary.raw_waypoint t.itinerary) in
+  let rec walk i state acc =
+    if i > max_legs then
+      stalled ~steps:max_legs
+        (Printf.sprintf "%s: exceeded %d legs within horizon" (label t)
+           max_legs)
+    else
+      let l, state = step state in
+      if l.t_start <= horizon then walk (i + 1) state (l :: acc)
+      else (i - 1, acc)
   in
-  {
-    flat_rays = Array.map (fun l -> l.ray) legs;
-    flat_froms = Array.map (fun l -> l.d_from) legs;
-    flat_los = Array.map (fun l -> Float.min l.d_from l.d_to) legs;
-    flat_his = Array.map (fun l -> Float.max l.d_from l.d_to) legs;
-    flat_starts = Array.map (fun l -> l.t_start) legs;
-  }
+  let len, rev_legs = walk 1 init [] in
+  let fl =
+    {
+      flat_rays = Array.make len 0;
+      flat_froms = Array.make len 0.;
+      flat_tos = Array.make len 0.;
+      flat_los = Array.make len 0.;
+      flat_his = Array.make len 0.;
+      flat_starts = Array.make len 0.;
+    }
+  in
+  List.iteri
+    (fun i l ->
+      let j = len - 1 - i in
+      fl.flat_rays.(j) <- l.ray;
+      fl.flat_froms.(j) <- l.d_from;
+      fl.flat_tos.(j) <- l.d_to;
+      fl.flat_los.(j) <- Float.min l.d_from l.d_to;
+      fl.flat_his.(j) <- Float.max l.d_from l.d_to;
+      fl.flat_starts.(j) <- l.t_start)
+    rev_legs;
+  fl
 
 let[@hot] flat_first_visit fl ~ray ~dist ~horizon =
   (* Legs are time-ordered, so the first leg containing the target gives

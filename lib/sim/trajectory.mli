@@ -51,6 +51,7 @@ val leg_endpoints : ?max_legs:int -> t -> horizon:float -> (int * float) list
 type flat = private {
   flat_rays : int array;
   flat_froms : float array;
+  flat_tos : float array;
   flat_los : float array;  (** min of the leg's two endpoints *)
   flat_his : float array;  (** max of the leg's two endpoints *)
   flat_starts : float array;
@@ -60,7 +61,9 @@ type flat = private {
     leg with [t_start <= horizon], in time order. *)
 
 val flatten : ?max_legs:int -> t -> horizon:float -> flat
-(** One lazy walk of the legs, then plain arrays.
+(** One walk of the leg generator straight into plain arrays (raw
+    waypoints, bypassing the memo behind {!leg}); the same legs as
+    {!leg} [1], {!leg} [2], ... up to the first with [t_start > horizon].
     @raise Search_numerics.Search_error.Error ([Non_convergence]) as
       {!position} would. *)
 

@@ -663,6 +663,62 @@ let prop_interval_truncate_subset =
       | None -> x >= hi
       | Some t -> I.subset t iv)
 
+(* [Sweep.check] against the verdict read off the full profile (the
+   first piece short of the demand; the kind-aware count at [lo] for a
+   degenerate window).  Half-integer endpoints on a small grid, so ties
+   between starts, ends and the window edges are the common case. *)
+let prop_sweep_check_matches_profile =
+  let profile_verdict ~demand ~within:(lo, hi) ivs =
+    match Sweep.coverage_profile ~within:(lo, hi) ivs with
+    | [] ->
+        let c = Sweep.multiplicity_at lo ivs in
+        if c >= demand then Sweep.Covered
+        else Sweep.Gap { from_ = lo; upto = lo; at = lo; multiplicity = c }
+    | pieces -> (
+        match List.find_opt (fun (_, _, c) -> c < demand) pieces with
+        | None -> Sweep.Covered
+        | Some (a, b, c) ->
+            Sweep.Gap
+              { from_ = a; upto = b; at = 0.5 *. (a +. b); multiplicity = c })
+  in
+  let same_verdict v w =
+    let same x y =
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    in
+    match (v, w) with
+    | Sweep.Covered, Sweep.Covered -> true
+    | Sweep.Gap g, Sweep.Gap h ->
+        same g.from_ h.from_ && same g.upto h.upto && same g.at h.at
+        && g.multiplicity = h.multiplicity
+    | _ -> false
+  in
+  let half = QCheck2.Gen.map (fun i -> 0.5 *. float_of_int i) in
+  let gen =
+    QCheck2.Gen.(
+      let interval =
+        let* lo = half (int_range 0 16) in
+        let* len = half (int_range 0 8) in
+        let* left_open = bool in
+        return
+          (if left_open && len > 0. then I.left_open lo (lo +. len)
+           else I.closed lo (lo +. len))
+      in
+      let* ivs = list_size (int_range 0 12) interval in
+      let* wlo = half (int_range (-2) 20) in
+      let* whi = half (int_range (-2) 20) in
+      let* demand = int_range 0 4 in
+      return (ivs, (wlo, whi), demand))
+  in
+  QCheck2.Test.make ~count:2000 ~name:"sweep check = profile verdict"
+    ~print:(fun (ivs, (wlo, whi), demand) ->
+      Printf.sprintf "demand %d within (%g, %g): %s" demand wlo whi
+        (String.concat " " (List.map (Format.asprintf "%a" I.pp) ivs)))
+    gen
+    (fun (ivs, within, demand) ->
+      same_verdict
+        (Sweep.check ~demand ~within ivs)
+        (profile_verdict ~demand ~within ivs))
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -674,6 +730,7 @@ let properties =
       prop_rational_float_roundtrip;
       prop_brent_finds_root;
       prop_sweep_profile_partitions;
+      prop_sweep_check_matches_profile;
       prop_interval_truncate_subset;
     ]
 

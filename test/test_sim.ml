@@ -510,14 +510,14 @@ let test_adversary_kernel_degenerate () =
     c.Adv.candidates_scanned;
   (* the raw kernel on an empty candidate set reports the sentinel *)
   let out = [| 0.; 0.; 0. |] in
-  Adv.compiled_scan ~flats:[||] ~depths:[| [||]; [||] |] ~times:[||] ~f:0
-    ~k:0 ~horizon:10. ~out;
+  Adv.compiled_scan ~flats:[||] ~depths:[| [||]; [||] |] ~times:[||]
+    ~cursors:[||] ~f:0 ~k:0 ~horizon:10. ~out;
   check_bool "empty candidates sentinel" true
     (Float.equal out.(0) neg_infinity);
   (* empty depth rows on one ray, a singleton on the other *)
   let fl = Tr.flatten tr.(0) ~horizon:100. in
   Adv.compiled_scan ~flats:[| fl |] ~depths:[| [||]; [| 1. |] |]
-    ~times:[| infinity |] ~f:0 ~k:1 ~horizon:100. ~out;
+    ~times:[| infinity |] ~cursors:[| 0 |] ~f:0 ~k:1 ~horizon:100. ~out;
   check_bool "singleton row scanned" true (out.(0) > 0.);
   check_bool "singleton row ray" true (Float.equal out.(1) 1.);
   check_bool "singleton row dist" true (Float.equal out.(2) 1.)
@@ -968,6 +968,69 @@ let prop_exact_vs_scan_random_groups =
       | true, true -> scan <= exact +. 1e-9 && exact -. scan < 1e-4
       | a, b -> a = b)
 
+(* The compiled kernel (flat arrays, forward-only leg cursors) against
+   the lazy reference, bit for bit, on the compute-batch instances and a
+   few more, across the design-alpha range, target horizons from the
+   singleton n = 1 up, and ratio caps small enough that the time-horizon
+   cut lands inside the cursor walk.  Along the way, [flatten] must
+   reproduce the leg-by-leg prefix read through [Tr.leg]. *)
+let prop_adversary_kernels_bitwise =
+  let instances =
+    [| (2, 2, 1); (2, 3, 1); (3, 3, 1); (3, 4, 2); (4, 3, 1); (4, 5, 2);
+       (2, 1, 0); (3, 2, 0); (5, 4, 1) |]
+  in
+  let bits x = Int64.bits_of_float x in
+  let same x y = Int64.equal (bits x) (bits y) in
+  let flat_matches_legs tr ~horizon =
+    let fl = Tr.flatten tr ~horizon in
+    let len = Array.length fl.Tr.flat_starts in
+    let ok = ref ((Tr.leg tr (len + 1)).Tr.t_start > horizon) in
+    for j = 0 to len - 1 do
+      let l = Tr.leg tr (j + 1) in
+      ok :=
+        !ok && l.Tr.t_start <= horizon
+        && Int.equal fl.Tr.flat_rays.(j) l.Tr.ray
+        && same fl.Tr.flat_froms.(j) l.Tr.d_from
+        && same fl.Tr.flat_tos.(j) l.Tr.d_to
+        && same fl.Tr.flat_los.(j) (Float.min l.Tr.d_from l.Tr.d_to)
+        && same fl.Tr.flat_his.(j) (Float.max l.Tr.d_from l.Tr.d_to)
+        && same fl.Tr.flat_starts.(j) l.Tr.t_start
+    done;
+    !ok
+  in
+  QCheck2.Test.make ~count:80 ~name:"adversary compiled = lazy bitwise"
+    ~print:(fun (i, a, n, cap) ->
+      let m, k, f = instances.(i) in
+      Printf.sprintf "(m=%d,k=%d,f=%d) alpha=%h n=%h ratio_cap=%h" m k f a n
+        cap)
+    QCheck2.Gen.(
+      let* i = int_range 0 (Array.length instances - 1) in
+      let* a = float_range 0.9 1.3 in
+      let* n = oneofl [ 1.; 7.5; 100.; 2000.; 5e4 ] in
+      let* cap = oneofl [ 1.5; 3.; 6.; 12.; Adv.default_ratio_cap ] in
+      return (i, a, n, cap))
+    (fun (i, a, n, ratio_cap) ->
+      let m, k, f = instances.(i) in
+      let p = Search_bounds.Params.make ~m ~k ~f in
+      let alpha =
+        a
+        *. Search_bounds.Formulas.alpha_star ~q:(Search_bounds.Params.q p) ~k
+      in
+      let trs =
+        Search_strategy.Group.trajectories
+          (Search_strategy.Group.optimal ~alpha p)
+      in
+      let l = Adv.worst_case trs ~f ~ratio_cap ~kernel:`Lazy ~n () in
+      let c = Adv.worst_case trs ~f ~ratio_cap ~kernel:`Compiled ~n () in
+      same l.Adv.ratio c.Adv.ratio
+      && Int.equal l.Adv.witness.W.ray c.Adv.witness.W.ray
+      && same l.Adv.witness.W.dist c.Adv.witness.W.dist
+      && same l.Adv.detection_time c.Adv.detection_time
+      && Int.equal l.Adv.candidates_scanned c.Adv.candidates_scanned
+      && Array.for_all
+           (fun tr -> flat_matches_legs tr ~horizon:(ratio_cap *. n))
+           trs)
+
 let properties =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -976,6 +1039,7 @@ let properties =
       prop_position_continuous;
       prop_first_visit_is_min_of_visits;
       prop_detection_monotone_in_f;
+      prop_adversary_kernels_bitwise;
     ]
 
 let () =
