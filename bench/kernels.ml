@@ -99,16 +99,17 @@ let adversary_scan () =
   let trs =
     Array.map FS.Trajectory.compile (FS.Mray_exponential.itineraries strat)
   in
-  let run kernel () = FS.Adversary.worst_case trs ~f:1 ~kernel ~n:50. () in
-  let out_lazy = run `Lazy () and out_compiled = run `Compiled () in
-  assert (Float.equal out_lazy.FS.Adversary.ratio out_compiled.FS.Adversary.ratio);
+  let reference () = FS.Adversary.reference_worst_case trs ~f:1 ~n:50. () in
+  let compiled () = FS.Adversary.worst_case trs ~f:1 ~n:50. () in
+  let out_ref = reference () and out_compiled = compiled () in
+  assert (Float.equal out_ref.FS.Adversary.ratio out_compiled.FS.Adversary.ratio);
   assert (
-    FS.World.equal_point out_lazy.FS.Adversary.witness
+    FS.World.equal_point out_ref.FS.Adversary.witness
       out_compiled.FS.Adversary.witness);
   {
     name = "adversary/worst-case-k3-f1-n50";
-    baseline_ns = time_ns ~quota:!quota (run `Lazy);
-    candidate_ns = time_ns ~quota:!quota (run `Compiled);
+    baseline_ns = time_ns ~quota:!quota reference;
+    candidate_ns = time_ns ~quota:!quota compiled;
   }
 
 (* --- kernel 3: sweep-grid dispatch granularity ---------------------- *)

@@ -342,7 +342,7 @@ let line_intervals ctx ~n =
   |> List.concat_map (fun t ->
          List.map snd
            (Symmetric.cover_intervals_within t ~lambda:ctx.lambda
-              ~within:(1., n) ()))
+              ~within:(1., n)))
 
 let cert_consistency name verdict ~intervals ~recheck ~demand ~n =
   match (verdict : Certificate.verdict) with

@@ -7,7 +7,9 @@ let mu_of_lambda lambda =
   if lambda <= 1. then invalid_arg "Symmetric: need lambda > 1";
   (lambda -. 1.) /. 2.
 
-let cover_intervals_within_lazy turns ~lambda ~within:(lo, hi) ~max_rounds () =
+let max_rounds = 1_000_000
+
+let reference_cover_intervals_within turns ~lambda ~within:(lo, hi) =
   let mu = mu_of_lambda lambda in
   let rec collect i acc =
     if i > max_rounds then List.rev acc
@@ -26,10 +28,8 @@ let cover_intervals_within_lazy turns ~lambda ~within:(lo, hi) ~max_rounds () =
 (* Same loop through the flat-array view: each round costs three array
    reads instead of mutex+hashtable probes.  The arithmetic (including
    the Kahan partial sums) is replayed in the identical order, so the
-   collected intervals are bit-identical to the lazy loop's. *)
-let[@hot] cover_intervals_within_compiled turns ~lambda ~within:(lo, hi)
-    ~max_rounds
-    () =
+   collected intervals are bit-identical to the reference loop's. *)
+let[@hot] cover_intervals_within turns ~lambda ~within:(lo, hi) =
   let mu = mu_of_lambda lambda in
   let c = Turning.compile turns in
   let rec collect i acc =
@@ -47,26 +47,18 @@ let[@hot] cover_intervals_within_compiled turns ~lambda ~within:(lo, hi)
   in
   collect 1 []
 
-let cover_intervals_within ?(kernel = `Compiled) turns ~lambda ~within
-    ?(max_rounds = 1_000_000) () =
-  match kernel with
-  | `Lazy -> cover_intervals_within_lazy turns ~lambda ~within ~max_rounds ()
-  | `Compiled ->
-      cover_intervals_within_compiled turns ~lambda ~within ~max_rounds ()
-
-let group_intervals ?kernel turns_array ~lambda ~within =
+let group_intervals turns_array ~lambda ~within =
   Array.to_list turns_array
   |> List.concat_map (fun turns ->
-         cover_intervals_within ?kernel turns ~lambda ~within ()
-         |> List.map snd)
+         cover_intervals_within turns ~lambda ~within |> List.map snd)
 
-let check ?kernel turns_array ~demand ~lambda ~n =
+let check turns_array ~demand ~lambda ~n =
   if n < 1. then invalid_arg "Symmetric.check: need n >= 1";
-  let ivs = group_intervals ?kernel turns_array ~lambda ~within:(1., n) in
+  let ivs = group_intervals turns_array ~lambda ~within:(1., n) in
   Sweep.check ~demand ~within:(1., n) ivs
 
-let max_covered ?kernel turns_array ~demand ~lambda ~n =
-  match check ?kernel turns_array ~demand ~lambda ~n with
+let max_covered turns_array ~demand ~lambda ~n =
+  match check turns_array ~demand ~lambda ~n with
   | Sweep.Covered -> n
   | Sweep.Gap { from_; _ } ->
       (* the gap's left end bounds the covered prefix: everything strictly

@@ -11,30 +11,38 @@
     turning-sequence strategies into interval multisets and checks the
     demand with the sweep line.
 
-    Every entry point takes an optional [kernel]: [`Compiled] (default)
-    walks flat-array prefix views ({!Search_strategy.Turning.compiled}),
-    [`Lazy] walks the mutex-memoised sequences directly.  The two are
-    bit-identical — the compiled view replays the same arithmetic in the
-    same order — and the CI perf-smoke job diffs their outputs. *)
+    Every entry point runs one evaluation path: the flat-array prefix
+    views of {!Search_strategy.Turning.compiled}.
+    {!reference_cover_intervals_within} keeps the direct walk over the
+    mutex-memoised sequences as a test oracle; it has no production
+    caller. *)
 
 val cover_intervals_within :
-  ?kernel:[ `Lazy | `Compiled ] -> Search_strategy.Turning.t -> lambda:float
-  -> within:float * float -> ?max_rounds:int -> unit
+  Search_strategy.Turning.t -> lambda:float -> within:float * float
   -> (int * Search_numerics.Interval1.t) list
 (** One robot's λ-cover [Cov_mu(T)] restricted to the window: the fruitful
     intervals [[t''_i, t_i]] (eq. 3, [mu = (lambda-1)/2]) that intersect
     it.  Stops at the first turn whose threshold passes the window (the
-    thresholds are nondecreasing).  [max_rounds] defaults to 1_000_000. *)
+    thresholds are nondecreasing), and after at most 1_000_000 rounds. *)
+
+val reference_cover_intervals_within :
+  Search_strategy.Turning.t -> lambda:float -> within:float * float
+  -> (int * Search_numerics.Interval1.t) list
+(** Test oracle for {!cover_intervals_within}: the same loop over the
+    memoised sequences ({!Search_strategy.Turning.get},
+    {!Search_strategy.Turning.partial_sum}) instead of the flat-array
+    view.  The compiled view replays the same arithmetic in the same
+    order, so the two agree bit for bit; the test suite checks that. *)
 
 val check :
-  ?kernel:[ `Lazy | `Compiled ] -> Search_strategy.Turning.t array
-  -> demand:int -> lambda:float -> n:float -> Search_numerics.Sweep.verdict
+  Search_strategy.Turning.t array -> demand:int -> lambda:float -> n:float
+  -> Search_numerics.Sweep.verdict
 (** Is [[1, n]] [demand]-fold λ-covered by the group?  [demand] is
     typically [Params.s] of the instance. *)
 
 val max_covered :
-  ?kernel:[ `Lazy | `Compiled ] -> Search_strategy.Turning.t array
-  -> demand:int -> lambda:float -> n:float -> float
+  Search_strategy.Turning.t array -> demand:int -> lambda:float -> n:float
+  -> float
 (** The largest [x <= n] such that [[1, x)] is [demand]-fold λ-covered:
     the sweep's gap witness is the leftmost under-covered point ([n] when
     fully covered, [1.] when not even a neighbourhood of 1 is). *)

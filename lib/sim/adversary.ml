@@ -31,9 +31,10 @@ let sorted_dedup a =
   end
 
 (* Per-ray candidate depths, each ascending and duplicate-free, from the
-   leg endpoints of the flattened prefixes.  Both kernels scan rays in
-   index order and depths in ascending order, so the supremum fold
-   visits identical (ray, depth) sequences — same ratio, same witness. *)
+   leg endpoints of the flattened prefixes.  [worst_case] and
+   [reference_worst_case] both visit rays in index order and depths in
+   ascending order, so the supremum fold visits identical (ray, depth)
+   sequences — same ratio, same witness. *)
 let candidate_depths flats ~m ~eps ~n =
   let cap = Array.make m 2 in
   Array.iter
@@ -159,8 +160,9 @@ let[@hot] compiled_scan ~flats ~depths ~times ~cursors ~f ~k ~horizon ~out =
     done
   done
 
-let worst_case trajectories ~f ?(eps = default_eps)
-    ?(ratio_cap = default_ratio_cap) ?(kernel = `Compiled) ~n () =
+(* The setup both scans share: flattened prefixes, per-ray candidate
+   depths and their total count. *)
+let prepare trajectories ~eps ~ratio_cap ~n =
   if Array.length trajectories = 0 then
     Search_error.invalid ~where:"Adversary.worst_case" "no robots";
   let time_horizon = ratio_cap *. n in
@@ -168,56 +170,56 @@ let worst_case trajectories ~f ?(eps = default_eps)
   let flats = flatten_all trajectories ~n ~time_horizon in
   let depths = candidate_depths flats ~m:(World.arity world) ~eps ~n in
   let scanned = Array.fold_left (fun acc a -> acc + Array.length a) 0 depths in
-  match kernel with
-  | `Lazy ->
-      (* reference path: per-candidate option lists through [Engine] *)
-      let sup = ref Stats.sup_empty in
-      Array.iteri
-        (fun ray ds ->
-          Array.iter
-            (fun d ->
-              let target = World.point world ~ray ~dist:d in
-              let ratio =
-                Engine.detection_ratio trajectories ~f ~target ~time_horizon
-              in
-              sup := Stats.sup_add !sup ~key:target ~value:ratio)
-            ds)
-        depths;
-      let sup = !sup in
-      (match Stats.sup_witness sup with
-      | None ->
-          Search_error.invalid ~where:"Adversary.worst_case"
-            "empty candidate set"
-      | Some witness ->
-          let ratio = Stats.sup_value sup in
-          let detection_time =
-            if Float.equal ratio infinity then infinity
-            else ratio *. witness.World.dist
+  (world, time_horizon, flats, depths, scanned)
+
+let outcome ~ratio ~witness ~scanned =
+  let detection_time =
+    if Float.equal ratio infinity then infinity
+    else ratio *. witness.World.dist
+  in
+  { ratio; witness; detection_time; candidates_scanned = scanned }
+
+let worst_case trajectories ~f ?(eps = default_eps)
+    ?(ratio_cap = default_ratio_cap) ~n () =
+  let world, time_horizon, flats, depths, scanned =
+    prepare trajectories ~eps ~ratio_cap ~n
+  in
+  if f < 0 then Search_error.invalid ~where:"Adversary.worst_case" "f < 0";
+  (* flat leg arrays, reused scratch arrays for the (f+1)-st smallest
+     visit time and the per-robot leg cursors, no per-candidate
+     allocation.  The arithmetic (visit times, the (f+1)-st order
+     statistic, the ratio) matches [reference_worst_case] bit for bit,
+     and candidates are visited in the same order, so ratio and witness
+     agree exactly. *)
+  let k = Array.length trajectories in
+  let times = Array.make k infinity in
+  let cursors = Array.make k 0 in
+  let out = [| neg_infinity; 0.; 0. |] in
+  compiled_scan ~flats ~depths ~times ~cursors ~f ~k ~horizon:time_horizon
+    ~out;
+  if Float.equal out.(0) neg_infinity then
+    Search_error.invalid ~where:"Adversary.worst_case" "empty candidate set";
+  let witness = World.point world ~ray:(int_of_float out.(1)) ~dist:out.(2) in
+  outcome ~ratio:out.(0) ~witness ~scanned
+
+let reference_worst_case trajectories ~f ?(eps = default_eps)
+    ?(ratio_cap = default_ratio_cap) ~n () =
+  let world, time_horizon, _, depths, scanned =
+    prepare trajectories ~eps ~ratio_cap ~n
+  in
+  let sup = ref Stats.sup_empty in
+  Array.iteri
+    (fun ray ds ->
+      Array.iter
+        (fun d ->
+          let target = World.point world ~ray ~dist:d in
+          let ratio =
+            Engine.detection_ratio trajectories ~f ~target ~time_horizon
           in
-          { ratio; witness; detection_time; candidates_scanned = scanned })
-  | `Compiled ->
-      if f < 0 then Search_error.invalid ~where:"Adversary.worst_case" "f < 0";
-      (* fast path: flat leg arrays, reused scratch arrays for the
-         (f+1)-st smallest visit time and the per-robot leg cursors, no
-         per-candidate allocation.  The arithmetic (visit times, the
-         (f+1)-st order statistic, the ratio) matches the lazy path bit
-         for bit, and candidates are visited in the same order, so ratio
-         and witness agree exactly. *)
-      let k = Array.length trajectories in
-      let times = Array.make k infinity in
-      let cursors = Array.make k 0 in
-      let out = [| neg_infinity; 0.; 0. |] in
-      compiled_scan ~flats ~depths ~times ~cursors ~f ~k ~horizon:time_horizon
-        ~out;
-      if Float.equal out.(0) neg_infinity then
-        Search_error.invalid ~where:"Adversary.worst_case"
-          "empty candidate set";
-      let witness =
-        World.point world ~ray:(int_of_float out.(1)) ~dist:out.(2)
-      in
-      let ratio = out.(0) in
-      let detection_time =
-        if Float.equal ratio infinity then infinity
-        else ratio *. witness.World.dist
-      in
-      { ratio; witness; detection_time; candidates_scanned = scanned }
+          sup := Stats.sup_add !sup ~key:target ~value:ratio)
+        ds)
+    depths;
+  match Stats.sup_witness !sup with
+  | None ->
+      Search_error.invalid ~where:"Adversary.worst_case" "empty candidate set"
+  | Some witness -> outcome ~ratio:(Stats.sup_value !sup) ~witness ~scanned

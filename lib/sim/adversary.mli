@@ -10,7 +10,10 @@
     depth [d] together with [d (1 ± eps)], which brackets the one-sided
     limits; this is exactly the adversary of the paper's proofs ("the
     adversary will place the target there"), discretised to precision
-    [eps]. *)
+    [eps].
+
+    {!worst_case} is the one evaluation path; {!reference_worst_case}
+    keeps the per-candidate evaluation as its test oracle. *)
 
 type outcome = {
   ratio : float;  (** the supremum found ([infinity] if some target escapes) *)
@@ -47,7 +50,7 @@ val compiled_scan :
   horizon:float ->
   out:float array ->
   unit
-(** The allocation-free inner loop of the [`Compiled] kernel, exposed
+(** The allocation-free inner loop of {!worst_case}, exposed
     so the bench harness can put a Gc meter directly on it.  [flats]
     are the [k] flattened trajectories, [depths] the per-ray candidate
     depths (ascending, duplicate-free, all [>= 1.]), [times] and
@@ -78,18 +81,24 @@ val compiled_scan :
     changes, so the result is bit-identical to a probe from leg 0. *)
 
 val worst_case :
-  Trajectory.t array -> f:int -> ?eps:float -> ?ratio_cap:float
-  -> ?kernel:[ `Lazy | `Compiled ] -> n:float -> unit -> outcome
+  Trajectory.t array -> f:int -> ?eps:float -> ?ratio_cap:float -> n:float
+  -> unit -> outcome
 (** Supremum of the crash-fault detection ratio over {!candidate_targets}.
-    Requires a non-empty trajectory array and [n >= 1.].
+    Requires a non-empty trajectory array, [f >= 0] and [n >= 1.].
 
     Each trajectory's leg prefix is flattened into arrays once
     ({!Trajectory.flatten}); the candidate depths are read off those
-    arrays.  [kernel] selects the scan implementation: [`Compiled]
-    (default) runs {!compiled_scan}, an allocation-free inner loop with
-    reused scratch arrays for the (f+1)-st-smallest visit time and the
-    per-robot leg cursors; [`Lazy] evaluates each candidate
-    through {!Engine.detection_ratio} (consed lists, per-candidate
-    sort).  Both visit the candidates in the same order and perform the
-    same float operations, so [ratio], [witness] and [detection_time]
-    are bit-identical. *)
+    arrays and scanned by {!compiled_scan}, an allocation-free inner
+    loop with reused scratch arrays for the (f+1)-st-smallest visit time
+    and the per-robot leg cursors. *)
+
+val reference_worst_case :
+  Trajectory.t array -> f:int -> ?eps:float -> ?ratio_cap:float -> n:float
+  -> unit -> outcome
+(** Test oracle for {!worst_case}, with no production caller: the same
+    candidates, each evaluated through {!Engine.detection_ratio} (consed
+    lists, per-candidate sort) and folded with
+    {!Search_numerics.Stats.sup_add}.  Both visit the candidates in the
+    same order and perform the same float operations, so [ratio],
+    [witness] and [detection_time] are bit-identical; the test suite and
+    [bench/kernels.exe] check that. *)

@@ -53,7 +53,7 @@ let test_sym_max_covered_monotone_in_lambda () =
   checkf6 "full at 9.1" 1e4 m3
 
 let test_sym_intervals_within_window () =
-  let ivs = Sym.cover_intervals_within doubling ~lambda:9. ~within:(1., 64.) () in
+  let ivs = Sym.cover_intervals_within doubling ~lambda:9. ~within:(1., 64.) in
   check_bool "nonempty" true (List.length ivs > 3);
   List.iter
     (fun (i, (iv : Search_numerics.Interval1.t)) ->
@@ -732,6 +732,58 @@ let prop_max_covered_monotone =
       let b = Sym.max_covered [| t |] ~demand:1 ~lambda:(lambda +. 0.5) ~n:1e4 in
       b >= a -. 1e-9)
 
+(* Each covering module has one evaluation path, the flat-array view;
+   the memoised walk survives only as its reference
+   ([Sym.reference_cover_intervals_within],
+   [Orc_round.cover_intervals_within]).  The two must agree bit for
+   bit on every endpoint and round index: over the solver's groups for
+   three instances and over generated geometric sequences, for λ from
+   0.9x to 1.3x the bound (9, the cow path's, for a lone geometric
+   robot) and windows from the degenerate [1, 1] up. *)
+let solver_groups =
+  lazy
+    (List.map
+       (fun (m, k, f) ->
+         let problem = Faulty_search.Problem.make ~m ~k ~f ~horizon:100. () in
+         let solution = Faulty_search.Solve.solve problem in
+         ( Faulty_search.Problem.bound problem,
+           Option.get (Faulty_search.Solve.orc_turns solution) ))
+       [ (2, 3, 1); (3, 2, 1); (4, 5, 2) ]
+    |> Array.of_list)
+
+let same_intervals a b =
+  let bits = Int64.bits_of_float in
+  let same (x : Search_numerics.Interval1.t) (y : Search_numerics.Interval1.t) =
+    Int64.equal (bits x.lo) (bits y.lo) && Int64.equal (bits x.hi) (bits y.hi)
+  in
+  List.equal (fun (i, x) (j, y) -> Int.equal i j && same x y) a b
+
+let prop_cover_intervals_match_reference =
+  QCheck2.Test.make ~count:120 ~name:"cover intervals = reference bitwise"
+    QCheck2.Gen.(
+      let* source = int_range 0 3 in
+      let* alpha = float_range 1.2 4. in
+      let* scale = float_range 0.3 2. in
+      let* a = float_range 0.9 1.3 in
+      let* n = oneofl [ 1.; 7.5; 500.; 5e4 ] in
+      return (source, alpha, scale, a, n))
+    (fun (source, alpha, scale, a, n) ->
+      let bound, turns =
+        if source < 3 then (Lazy.force solver_groups).(source)
+        else (9., [| Turning.geometric ~scale ~alpha () |])
+      in
+      let lambda = a *. bound and within = (1., n) in
+      Array.for_all
+        (fun t ->
+          same_intervals
+            (Sym.cover_intervals_within t ~lambda ~within)
+            (Sym.reference_cover_intervals_within t ~lambda ~within)
+          && same_intervals
+               (Orc.cover_intervals_within t ~lambda ~within)
+               (Search_strategy.Orc_round.cover_intervals_within t
+                  ~mu:((lambda -. 1.) /. 2.) ~within ()))
+        turns)
+
 
 let test_frontier_multi_reduces_to_single () =
   let a = Frontier.line_single ~lambda:8. in
@@ -811,6 +863,7 @@ let properties =
       prop_greedy_assignment_passes_proof_check;
       prop_refutation_monotone_in_lambda;
       prop_max_covered_monotone;
+      prop_cover_intervals_match_reference;
       prop_certificate_refutes_below;
       prop_assignment_covers_exactly;
     ]

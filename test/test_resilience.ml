@@ -6,7 +6,7 @@
    reproduces the fault-free outputs exactly at every job count, and
    (b) a journal written by a killed run resumes to the same results. *)
 
-module E = Search_resilience.Search_error
+module E = Search_numerics.Search_error
 module Budget = Search_resilience.Budget
 module Cancel = Search_resilience.Cancel
 module Retry = Search_resilience.Retry
