@@ -43,11 +43,7 @@ let bench_spec () =
     | None -> FS.Chaos.disabled
     | Some seed -> FS.Chaos.make ~seed ()
   in
-  let retry =
-    if !retries <= 0 then FS.Retry.none
-    else FS.Retry.immediate ~attempts:(!retries + 1)
-  in
-  { FS.Supervise.default with chaos; retry }
+  { FS.Supervise.default with chaos; attempts = 1 + max 0 !retries }
 
 let err_row ~id ~width err =
   incr failed_cells;
@@ -1097,7 +1093,7 @@ let () =
       ( "--retries",
         Arg.Set_int retries,
         "R  retry each failed grid cell up to R times (attempts = R+1, \
-         zero backoff)" );
+         retried at once)" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
     "main.exe [--jobs N]";

@@ -321,9 +321,7 @@ let chaos_of = function
   | None -> FS.Chaos.disabled
   | Some seed -> FS.Chaos.make ~seed ()
 
-let retry_of retries =
-  if retries <= 0 then FS.Retry.none
-  else FS.Retry.immediate ~attempts:(retries + 1)
+let attempts_of retries = 1 + max 0 retries
 
 let sweep_out_arg =
   let doc = "Write the results table to $(docv) instead of stdout." in
@@ -403,7 +401,7 @@ let sweep_run m k f n samples jobs chaos_seed retries checkpoint out chunk =
         {
           FS.Supervise.default with
           chaos = chaos_of chaos_seed;
-          retry = retry_of retries;
+          attempts = attempts_of retries;
         }
       in
       (* each sample point synthesizes and attacks its own strategy, so the
@@ -416,24 +414,7 @@ let sweep_run m k f n samples jobs chaos_seed retries checkpoint out chunk =
         FS.Supervise.map pool ~spec ?persist ~chunk
           ~task:(fun i _ -> Printf.sprintf "sweep/alpha-%d" i)
           ~f:(fun _meter i ->
-            let t = float_of_int i /. float_of_int (samples - 1) in
-            let alpha = a_star *. (0.7 +. (0.8 *. t)) in
-            if alpha > 1.001 then begin
-              let problem = FS.Problem.make ~m ~k ~f ~horizon:n () in
-              let solution = FS.Solve.solve ~alpha problem in
-              let outcome =
-                FS.Adversary.worst_case
-                  (FS.Solve.trajectories solution)
-                  ~f ~n ()
-              in
-              Some
-                [
-                  FS.Table.cell_f ~decimals:4 alpha;
-                  FS.Table.cell_f ~decimals:4 solution.FS.Solve.designed_ratio;
-                  FS.Table.cell_f ~decimals:4 outcome.FS.Adversary.ratio;
-                ]
-            end
-            else None)
+            FS.Report.sweep_row ~m ~k ~f ~n ~alpha_star:a_star ~samples i)
           (List.init samples Fun.id)
       in
       Option.iter (fun pr -> FS.Journal.finish pr.FS.Supervise.journal) persist;
@@ -737,7 +718,8 @@ let fuzz_run seed cases jobs replay corpus_dir chaos_seed retries checkpoint =
     | None ->
         let outcome =
           FS.Check.Fuzz.run ?jobs ~chaos:(chaos_of chaos_seed)
-            ~retry:(retry_of retries) ?journal_dir:checkpoint ~seed ~cases ()
+            ~attempts:(attempts_of retries) ?journal_dir:checkpoint ~seed
+            ~cases ()
         in
         (* the report carries no timing or job count: identical bytes at
            any --jobs and across runs (and, with enough retries, under
@@ -926,7 +908,7 @@ let serve_run socket jobs queue_cap batch_cap cache_cap chaos_seed retries =
       {
         FS.Supervise.default with
         chaos = chaos_of chaos_seed;
-        retry = retry_of retries;
+        attempts = attempts_of retries;
       }
     in
     FS.Pool.with_pool ?jobs @@ fun pool ->

@@ -3,7 +3,6 @@ module E = Search_numerics.Search_error
 module Pool = Search_exec.Pool
 module Supervise = Search_exec.Supervise
 module Chaos = Search_resilience.Chaos
-module Retry = Search_resilience.Retry
 module Journal = Search_resilience.Journal
 
 type failure = {
@@ -43,7 +42,7 @@ let violations_of_json j =
       else Error "Fuzz: malformed violation entry"
   | _ -> Error "Fuzz: expected a violation list"
 
-let run ?jobs ?(chaos = Chaos.disabled) ?(retry = Retry.none) ?journal_dir
+let run ?jobs ?(chaos = Chaos.disabled) ?(attempts = 1) ?journal_dir
     ~seed ~cases () =
   let generated = Gen.cases ~seed ~count:cases in
   let persist =
@@ -67,7 +66,7 @@ let run ?jobs ?(chaos = Chaos.disabled) ?(retry = Retry.none) ?journal_dir
         })
       journal_dir
   in
-  let spec = { Supervise.default with chaos; retry } in
+  let spec = { Supervise.default with chaos; attempts } in
   let checked =
     Pool.with_pool ?jobs @@ fun pool ->
     Supervise.map pool ~spec ?persist

@@ -18,7 +18,7 @@ type outcome = { seed : int; cases : int; failures : failure list }
 val run :
   ?jobs:int ->
   ?chaos:Search_resilience.Chaos.t ->
-  ?retry:Search_resilience.Retry.policy ->
+  ?attempts:int ->
   ?journal_dir:string ->
   seed:int ->
   cases:int ->
@@ -29,8 +29,9 @@ val run :
     and shrink every failing case.
 
     The campaign runs under the supervised runtime: [chaos] injects
-    deterministic faults per case (a retry policy with more attempts than
-    [Chaos.max_faults] reproduces the fault-free outcome exactly);
+    deterministic faults per case, and [attempts] (default 1) is the
+    total number of tries per case (more than [Chaos.max_faults]
+    reproduces the fault-free outcome exactly);
     [journal_dir] checkpoints each completed case so a killed campaign
     resumes instead of restarting (the journal is deleted when the run
     completes).  A case the supervisor cannot complete surfaces as a

@@ -20,7 +20,6 @@ module Pool = Search_exec.Pool
 module Shard = Search_exec.Shard
 module Supervise = Search_exec.Supervise
 module Chaos = Search_resilience.Chaos
-module Retry = Search_resilience.Retry
 module E = Search_numerics.Search_error
 
 type violation = { invariant : string; detail : string }
@@ -617,7 +616,7 @@ let inv_chaos_supervisor ctx =
         {
           Supervise.default with
           chaos;
-          retry = Retry.immediate ~attempts:(Chaos.max_faults chaos + 1);
+          attempts = Chaos.max_faults chaos + 1;
         }
       ~task ~f items
   in

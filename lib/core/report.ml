@@ -97,3 +97,21 @@ let pp ppf t =
         ", sub-bound claim refuted"
     | Some _ -> ", sub-bound claim NOT refuted"
     | None -> "")
+
+let sweep_row ~m ~k ~f ~n ~alpha_star ~samples i =
+  let t = float_of_int i /. float_of_int (samples - 1) in
+  let alpha = alpha_star *. (0.7 +. (0.8 *. t)) in
+  if alpha > 1.001 then begin
+    let solution = Solve.solve ~alpha (Problem.make ~m ~k ~f ~horizon:n ()) in
+    let outcome =
+      Search_sim.Adversary.worst_case (Solve.trajectories solution) ~f ~n ()
+    in
+    let cell = Search_numerics.Table.cell_f ~decimals:4 in
+    Some
+      [
+        cell alpha;
+        cell solution.Solve.designed_ratio;
+        cell outcome.Search_sim.Adversary.ratio;
+      ]
+  end
+  else None

@@ -32,3 +32,19 @@ val to_markdown : t -> string
 
 val pp : Format.formatter -> t -> unit
 (** Compact one-paragraph rendering. *)
+
+val sweep_row :
+  m:int ->
+  k:int ->
+  f:int ->
+  n:float ->
+  alpha_star:float ->
+  samples:int ->
+  int ->
+  string list option
+(** Row [i] of the ratio-vs-alpha sweep over [samples >= 2] points:
+    [alpha = alpha_star * (0.7 + 0.8 t)] with [t = i / (samples - 1)].
+    [None] when [alpha <= 1.001] (no strategy exists there), else the
+    cells alpha, designed ratio and simulated worst-case ratio, each to
+    4 decimals.  The CLI [sweep] and the daemon's [sweep] request both
+    render their rows here, so the two print identical cells. *)

@@ -1,34 +1,13 @@
 module E = Search_numerics.Search_error
 module Json = Search_numerics.Json
 module Budget = Search_resilience.Budget
-module Cancel = Search_resilience.Cancel
-module Retry = Search_resilience.Retry
 module Chaos = Search_resilience.Chaos
-module Clock = Search_resilience.Clock
 module Journal = Search_resilience.Journal
 
-type spec = {
-  budget : Budget.t;
-  retry : Retry.policy;
-  backoff : float -> unit;
-  chaos : Chaos.t;
-  cancel : Cancel.t option;
-  clock : unit -> float;
-}
+type spec = { budget : Budget.t; attempts : int; chaos : Chaos.t }
 
 let default =
-  {
-    budget = Budget.unlimited;
-    retry = Retry.none;
-    (* cooperative, not a real sleep: supervised tasks run on pool
-       workers that the serve dispatch path awaits, so a sleeping
-       backoff would stall the event loop.  Batch callers that want
-       wall-clock backoff opt in with [Unix.sleepf]. *)
-    backoff = Retry.cooperative;
-    chaos = Chaos.disabled;
-    cancel = None;
-    clock = Clock.unix.Clock.now;
-  }
+  { budget = Budget.unlimited; attempts = 1; chaos = Chaos.disabled }
 
 type 'b persist = {
   journal : Journal.t;
@@ -36,14 +15,22 @@ type 'b persist = {
   decode : Json.t -> ('b, string) result;
 }
 
+(* Attempts run back to back: a retry decision depends only on the
+   attempt number and the classified failure, so results never depend
+   on timing. *)
 let run_one spec ~task x f =
-  Retry.run_with ~sleep:spec.backoff ~policy:spec.retry ~task (fun ~attempt ->
-      (match spec.cancel with
-      | Some c -> Cancel.check c ~task
-      | None -> ());
+  let rec go attempt =
+    match
       Chaos.run spec.chaos ~task ~attempt (fun () ->
-          let meter = Budget.start ~clock:spec.clock spec.budget ~task in
-          f meter x))
+          f (Budget.start spec.budget ~task) x)
+    with
+    | v -> Ok v
+    | exception exn ->
+        let err = E.classify ~task ~attempt exn in
+        if E.retryable err && attempt + 1 < spec.attempts then go (attempt + 1)
+        else Error err
+  in
+  go 0
 
 (* Split a list into consecutive groups of [n] (last may be shorter). *)
 let chunked n items =
@@ -58,6 +45,7 @@ let chunked n items =
 let[@pool_entry] [@hot] map pool ?(spec = default) ?persist ?(chunk = 1) ~task
     ~f items =
   if chunk < 1 then invalid_arg "Supervise.map: chunk must be >= 1";
+  if spec.attempts < 1 then invalid_arg "Supervise.map: attempts must be >= 1";
   let cached key =
     match persist with
     | None -> None

@@ -1,8 +1,8 @@
 (** Supervised parallel map: budgets, retries, chaos, checkpoints.
 
     {!map} is the resilient counterpart of [Par.parallel_map]: each item
-    runs as a pool task under a {!spec} (cancellation poll, fault
-    injection, per-task budget, retry with backoff) and failures come
+    runs as a pool task under a {!spec} (fault injection, per-task step
+    budget, immediate retry of retryable failures) and failures come
     back as [Error] values instead of aborting the whole batch — the
     caller renders them as error cells and keeps going (graceful
     degradation).  With a {!persist} attached, completed results are
@@ -11,32 +11,21 @@
 
     Determinism: given deterministic [f] and task keys, the result list
     is independent of the job count and of scheduling; chaos faults are a
-    pure function of (seed, task key), so a retry policy with more
-    attempts than [Chaos.max_faults] reproduces the fault-free output
-    exactly. *)
+    pure function of (seed, task key), so more [attempts] than
+    [Chaos.max_faults] reproduce the fault-free output exactly. *)
 
 type spec = {
-  budget : Search_resilience.Budget.t;
-  retry : Search_resilience.Retry.policy;
-  backoff : float -> unit;
-      (** sleep primitive for retry backoff.  Tasks run on pool workers
-          that latency-sensitive callers (the serve dispatch path)
-          await, so the default is {!Search_resilience.Retry.cooperative}
-          — a processor yield, not a real sleep.  Batch callers that
-          want wall-clock backoff set [Unix.sleepf]. *)
+  budget : Search_resilience.Budget.t;  (** armed afresh for every attempt *)
+  attempts : int;
+      (** total attempts per item, including the first; >= 1.  A failure
+          is retried at once while it is
+          {!Search_numerics.Search_error.retryable} and attempts remain. *)
   chaos : Search_resilience.Chaos.t;
-  cancel : Search_resilience.Cancel.t option;
-  clock : unit -> float;
-      (** time source armed into each task's budget meter (the seconds
-          cap backstop).  Default {!Search_resilience.Clock.unix}'s
-          [now]; the deterministic simulator substitutes its virtual
-          clock. *)
 }
 
 val default : spec
-(** Unlimited budget, no retries, cooperative backoff, chaos disabled,
-    no cancellation, wall clock — with [default], [map] degrades to a
-    per-item [try]. *)
+(** Unlimited budget, one attempt, chaos disabled — with [default],
+    [map] degrades to a per-item [try]. *)
 
 type 'b persist = {
   journal : Search_resilience.Journal.t;
@@ -64,4 +53,6 @@ val map :
     pool task, amortising dispatch overhead when items are cheap (the
     sweep grid).  Per-item semantics — task keys, chaos plans, retries,
     budgets, checkpoints, result order — are unchanged at any chunk
-    size; already-journalled items are never re-dispatched. *)
+    size; already-journalled items are never re-dispatched.
+
+    @raise Invalid_argument when [chunk < 1] or [spec.attempts < 1]. *)

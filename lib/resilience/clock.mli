@@ -1,10 +1,9 @@
 (** Injectable time source.
 
-    Every module that needs wall-clock time or a real sleep ({!Budget}
-    seconds caps, {!Lockfile} age stamps and polling,
-    {!Search_exec.Supervise} specs) takes a {!t} and defaults to
-    {!unix}, so the deterministic simulator ([lib/dst]) can run the same
-    code against a virtual clock.  This module is the only sanctioned
+    Every module that needs wall-clock time or a real sleep (today
+    {!Lockfile}, for its age stamps and polling) takes a {!t} and
+    defaults to {!unix}, so a test or the deterministic simulator
+    ([lib/dst]) can run the same code against a virtual clock.  This module is the only sanctioned
     reader of the ambient clock outside designated observational sinks
     (see lint.allow); everything else must thread a {!t}. *)
 

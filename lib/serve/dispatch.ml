@@ -124,35 +124,26 @@ let eval_certify meter ~m ~k ~f ~n ~lambda =
   let detail = Format.asprintf "%a" FS.Certificate.pp_verdict verdict in
   Protocol.Certify_ok { verdict = tag; detail; bound }
 
-(* mirrors the CLI sweep's alpha grid around the optimal base, so a serve
-   client and the [sweep] subcommand render identical rows *)
+(* Request-size caps.  Dispatch runs on the event loop, so one request
+   stalls every other client for as long as it computes.  A request at
+   either cap computes in under 0.1 s (2 cores, OCaml 5.1.1). *)
+let max_sweep_samples = 1024
+let max_simulate_samples = 65_536
+
 let eval_sweep meter ~m ~k ~f ~n ~samples =
   if samples < 2 then E.invalid ~where:"serve/sweep" "need samples >= 2";
+  if samples > max_sweep_samples then
+    E.invalid ~where:"serve/sweep"
+      (Printf.sprintf "need samples <= %d" max_sweep_samples);
   if not (Float.is_finite n && n >= 1.) then
     E.invalid ~where:"serve/sweep" "need a finite horizon n >= 1";
   let p = searching_or_violation ~where:"serve/sweep" ~m ~k ~f in
-  let q = FS.Params.q p in
-  let a_star = FS.Formulas.alpha_star ~q ~k in
+  let alpha_star = FS.Formulas.alpha_star ~q:(FS.Params.q p) ~k in
   let rows =
     List.filter_map
       (fun i ->
         Budget.step meter;
-        let t = float_of_int i /. float_of_int (samples - 1) in
-        let alpha = a_star *. (0.7 +. (0.8 *. t)) in
-        if alpha > 1.001 then begin
-          let problem = FS.Problem.make ~m ~k ~f ~horizon:n () in
-          let solution = FS.Solve.solve ~alpha problem in
-          let outcome =
-            FS.Adversary.worst_case (FS.Solve.trajectories solution) ~f ~n ()
-          in
-          Some
-            [
-              FS.Table.cell_f ~decimals:4 alpha;
-              FS.Table.cell_f ~decimals:4 solution.FS.Solve.designed_ratio;
-              FS.Table.cell_f ~decimals:4 outcome.FS.Adversary.ratio;
-            ]
-        end
-        else None)
+        FS.Report.sweep_row ~m ~k ~f ~n ~alpha_star ~samples i)
       (List.init samples Fun.id)
   in
   Protocol.Sweep_ok { rows }
@@ -163,6 +154,9 @@ let eval_simulate meter ~beta ~x ~samples ~seed =
   if not (Float.is_finite x) || Float.equal x 0. then
     E.invalid ~where:"serve/simulate" "need a finite non-zero target x";
   if samples < 1 then E.invalid ~where:"serve/simulate" "need samples >= 1";
+  if samples > max_simulate_samples then
+    E.invalid ~where:"serve/simulate"
+      (Printf.sprintf "need samples <= %d" max_simulate_samples);
   Budget.step meter ~cost:samples;
   let prng = FS.Prng.make ~seed in
   let estimate = FS.Randomized.expected_ratio_at ~beta ~x ~samples ~prng in

@@ -1,15 +1,13 @@
 (* Tests for the supervised execution runtime: the error taxonomy, the
-   per-task budgets, cancellation tokens, deterministic retry, chaos
-   fault injection, the checkpoint journal, and the stale-lock-breaking
-   file lock.  The load-bearing properties are (a) chaos is a pure
-   function of (seed, task key), so a supervisor with enough retries
-   reproduces the fault-free outputs exactly at every job count, and
-   (b) a journal written by a killed run resumes to the same results. *)
+   per-task step budgets, deterministic retry, chaos fault injection,
+   the checkpoint journal, and the stale-lock-breaking file lock.  The
+   load-bearing properties are (a) chaos is a pure function of (seed,
+   task key), so a supervisor with enough retries reproduces the
+   fault-free outputs exactly at every job count, and (b) a journal
+   written by a killed run resumes to the same results. *)
 
 module E = Search_numerics.Search_error
 module Budget = Search_resilience.Budget
-module Cancel = Search_resilience.Cancel
-module Retry = Search_resilience.Retry
 module Chaos = Search_resilience.Chaos
 module Journal = Search_resilience.Journal
 module Lockfile = Search_resilience.Lockfile
@@ -114,7 +112,7 @@ let test_error_classify () =
 (* Budget *)
 
 let test_budget_step_limit () =
-  let b = Budget.make ~steps:10 () in
+  let b = Budget.make ~steps:10 in
   let m = Budget.start b ~task:"steppy" in
   for _ = 1 to 10 do
     Budget.step m
@@ -130,29 +128,6 @@ let test_budget_step_limit () =
   | () -> Alcotest.fail "bulk step must raise"
   | exception E.Error (E.Budget_exceeded _) -> ()
 
-(* the seconds cap reads an injectable clock: a virtual clock makes the
-   wall-clock backstop fully testable (and the simulated runtime uses
-   exactly this seam) *)
-let test_budget_seconds_with_injected_clock () =
-  let vnow = ref 100.0 in
-  let clock () = !vnow in
-  let b = Budget.make ~seconds:5.0 () in
-  let m = Budget.start ~clock b ~task:"clocked" in
-  vnow := 104.9;
-  Budget.step m;
-  vnow := 105.1;
-  (match Budget.step m with
-  | () -> Alcotest.fail "step past the seconds cap must raise"
-  | exception
-      E.Error
-        (E.Budget_exceeded { task = "clocked"; resource = E.Seconds; _ }) ->
-      ());
-  (* a frozen clock never trips the cap *)
-  let m2 = Budget.start ~clock:(fun () -> 0.) b ~task:"frozen" in
-  for _ = 1 to 1000 do
-    Budget.step m2
-  done
-
 let test_budget_unlimited_and_validation () =
   let m = Budget.start Budget.unlimited ~task:"free" in
   for _ = 1 to 10_000 do
@@ -160,97 +135,59 @@ let test_budget_unlimited_and_validation () =
   done;
   check_bool "unlimited spec" true (Budget.is_unlimited Budget.unlimited);
   check_bool "capped spec" false
-    (Budget.is_unlimited (Budget.make ~steps:1 ()));
-  match Budget.make ~steps:0 () with
+    (Budget.is_unlimited (Budget.make ~steps:1));
+  match Budget.make ~steps:0 with
   | _ -> Alcotest.fail "steps = 0 must be rejected"
   | exception E.Error (E.Invalid_input _) -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Cancel *)
+(* Retry: the attempt loop inside Supervise.map *)
 
-let test_cancel_latch () =
-  let t = Cancel.create () in
-  check_bool "fresh" false (Cancel.is_cancelled t);
-  Cancel.check t ~task:"ok";
-  Cancel.cancel ~reason:"first" t;
-  Cancel.cancel ~reason:"second" t;
-  check_bool "latched" true (Cancel.is_cancelled t);
-  check_string "first reason wins" "first"
-    (Option.value (Cancel.reason t) ~default:"?");
-  match Cancel.check t ~task:"late" with
-  | () -> Alcotest.fail "check on a latched token must raise"
-  | exception E.Error (E.Cancelled { task = "late"; reason = "first" }) -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Retry *)
+(* one item through a single-domain supervisor, counting its calls *)
+let supervise_one ~attempts body =
+  let calls = ref 0 in
+  let result =
+    Pool.with_pool ~jobs:1 (fun pool ->
+        Supervise.map pool
+          ~spec:{ Supervise.default with attempts }
+          ~task:(fun _ _ -> "one")
+          ~f:(fun _meter () ->
+            incr calls;
+            body !calls)
+          [ () ])
+  in
+  (List.hd result, !calls)
 
 let test_retry_recovers_and_reports () =
-  let observed = ref [] in
-  let calls = ref 0 in
-  let result =
-    Retry.run
-      ~policy:(Retry.immediate ~attempts:3)
-      ~on_error:(fun ~attempt e -> observed := (attempt, E.tag e) :: !observed)
-      ~task:"flaky"
-      (fun ~attempt ->
-        incr calls;
-        if attempt < 2 then
-          E.raise_ (E.Injected_fault { task = "flaky"; attempt; kind = "x" })
-        else attempt * 10)
+  let result, calls =
+    supervise_one ~attempts:3 (fun call ->
+        if call < 3 then
+          E.raise_
+            (E.Injected_fault { task = "one"; attempt = call - 1; kind = "x" })
+        else call * 10)
   in
   (match result with
-  | Ok v -> check_int "third attempt succeeded" 20 v
+  | Ok v -> check_int "third attempt succeeded" 30 v
   | Error e -> Alcotest.fail (E.to_string e));
-  check_int "three calls" 3 !calls;
-  check_bool "both failures reported" true
-    (List.rev !observed = [ (0, "injected-fault"); (1, "injected-fault") ])
+  check_int "three calls" 3 calls
 
 let test_retry_does_not_retry_deterministic_failures () =
-  let calls = ref 0 in
-  let result =
-    Retry.run
-      ~policy:(Retry.immediate ~attempts:5)
-      ~task:"det"
-      (fun ~attempt:_ ->
-        incr calls;
-        E.invalid ~where:"det" "always wrong")
+  let result, calls =
+    supervise_one ~attempts:5 (fun _ -> E.invalid ~where:"det" "always wrong")
   in
   (match result with
   | Ok _ -> Alcotest.fail "must fail"
   | Error (E.Invalid_input _) -> ()
   | Error e -> Alcotest.fail (E.to_string e));
-  check_int "exactly one call" 1 !calls
+  check_int "exactly one call" 1 calls
 
 let test_retry_exhausts_attempts () =
-  let result =
-    Retry.run
-      ~policy:(Retry.immediate ~attempts:2)
-      ~task:"doomed"
-      (fun ~attempt ->
-        E.raise_ (E.Injected_fault { task = "doomed"; attempt; kind = "x" }))
-  in
+  let result, calls = supervise_one ~attempts:2 (fun _ -> failwith "doomed") in
+  check_int "two calls" 2 calls;
   match result with
   | Ok _ -> Alcotest.fail "must fail"
-  | Error (E.Injected_fault { attempt = 1; _ }) -> ()
+  | Error (E.Worker_crash { attempt = 1; _ }) -> ()
   | Error e -> Alcotest.fail ("last failure kept: " ^ E.to_string e)
-
-let test_retry_backoff_deterministic () =
-  let p = { Retry.attempts = 5; base_delay = 0.001; factor = 2.; max_delay = 0.003 } in
-  let delays = List.init 5 (fun a -> Retry.delay_for p ~attempt:a) in
-  check_bool "exponential then capped" true
-    (List.for_all2 Float.equal delays [ 0.001; 0.002; 0.003; 0.003; 0.003 ]);
-  (* sleeps use exactly those delays, via the injected sleep *)
-  let slept = ref [] in
-  let _ =
-    Retry.run ~policy:p
-      ~sleep:(fun d -> slept := d :: !slept)
-      ~task:"sleepy"
-      (fun ~attempt ->
-        E.raise_ (E.Injected_fault { task = "sleepy"; attempt; kind = "x" }))
-  in
-  check_bool "4 backoffs recorded" true
-    (List.rev !slept
-    |> List.for_all2 Float.equal [ 0.001; 0.002; 0.003; 0.003 ])
 
 (* ------------------------------------------------------------------ *)
 (* Chaos *)
@@ -320,7 +257,7 @@ let test_supervised_map_chaos_identity () =
     {
       Supervise.default with
       chaos;
-      retry = Retry.immediate ~attempts:(Chaos.max_faults chaos + 1);
+      attempts = Chaos.max_faults chaos + 1;
     }
   in
   List.iter
@@ -353,7 +290,7 @@ let test_supervised_map_chunk_identity () =
     {
       Supervise.default with
       chaos;
-      retry = Retry.immediate ~attempts:(Chaos.max_faults chaos + 1);
+      attempts = Chaos.max_faults chaos + 1;
     }
   in
   let reference =
@@ -378,6 +315,58 @@ let test_supervised_map_chunk_identity () =
       ignore
         (Pool.with_pool ~jobs:1 (fun pool ->
              Supervise.map pool ~chunk:0 ~task ~f items)))
+
+(* A step budget turned on through the spec: items that step past it
+   fail with Budget_exceeded and are not retried (the failure is
+   deterministic), the rest succeed, the same at every jobs and chunk. *)
+let test_supervised_map_step_budget () =
+  let items = List.init 10 Fun.id in
+  let task i _ = Printf.sprintf "budget/item-%d" i in
+  let spec =
+    { Supervise.default with budget = Budget.make ~steps:3; attempts = 3 }
+  in
+  List.iter
+    (fun (jobs, chunk) ->
+      let calls = Array.init 10 (fun _ -> Atomic.make 0) in
+      let results =
+        Pool.with_pool ~jobs (fun pool ->
+            Supervise.map pool ~spec ~chunk ~task
+              ~f:(fun meter i ->
+                Atomic.incr calls.(i);
+                for _ = 1 to i do
+                  Budget.step meter
+                done;
+                i * i)
+              items)
+      in
+      let label = Printf.sprintf "jobs=%d chunk=%d" jobs chunk in
+      List.iteri
+        (fun i r ->
+          check_int (Printf.sprintf "%s item %d ran once" label i) 1
+            (Atomic.get calls.(i));
+          match r with
+          | Ok v when i <= 3 -> check_int (label ^ " value") (i * i) v
+          | Error
+              (E.Budget_exceeded
+                 { resource = E.Steps; limit = 3.; spent = 4.; task = key })
+            when i > 3 ->
+              check_string (label ^ " task key") (task i i) key
+          | Ok _ | Error _ ->
+              Alcotest.fail
+                (Printf.sprintf "%s item %d: wrong outcome" label i))
+        results)
+    [ (1, 1); (1, 4); (4, 1); (4, 4) ]
+
+let test_supervised_map_rejects_zero_attempts () =
+  Alcotest.check_raises "attempts must be positive"
+    (Invalid_argument "Supervise.map: attempts must be >= 1") (fun () ->
+      ignore
+        (Pool.with_pool ~jobs:1 (fun pool ->
+             Supervise.map pool
+               ~spec:{ Supervise.default with attempts = 0 }
+               ~task:(fun i _ -> string_of_int i)
+               ~f:(fun _ i -> i)
+               [ 1; 2 ])))
 
 let test_supervised_map_insufficient_retries_fail_closed () =
   (* with no retries, chaos-faulted items surface as Error, the rest
@@ -627,12 +616,9 @@ let () =
       ( "budget",
         [
           tc "step limit is exact" `Quick test_budget_step_limit;
-          tc "seconds cap reads the injected clock" `Quick
-            test_budget_seconds_with_injected_clock;
           tc "unlimited budgets and validation" `Quick
             test_budget_unlimited_and_validation;
         ] );
-      ( "cancel", [ tc "token latches, first reason wins" `Quick test_cancel_latch ] );
       ( "retry",
         [
           tc "recovers from transient faults" `Quick
@@ -641,8 +627,6 @@ let () =
             test_retry_does_not_retry_deterministic_failures;
           tc "last failure is kept after exhaustion" `Quick
             test_retry_exhausts_attempts;
-          tc "backoff schedule is pure and exact" `Quick
-            test_retry_backoff_deterministic;
         ] );
       ( "chaos",
         [
@@ -660,6 +644,10 @@ let () =
             test_supervised_map_chaos_identity;
           tc "without retries faults degrade per-item" `Quick
             test_supervised_map_insufficient_retries_fail_closed;
+          tc "step budget fails closed, unretried, at any jobs/chunk" `Quick
+            test_supervised_map_step_budget;
+          tc "zero attempts is rejected" `Quick
+            test_supervised_map_rejects_zero_attempts;
           tc "killed run resumes from the journal" `Quick
             test_supervised_map_resumes_from_journal;
         ] );

@@ -365,6 +365,36 @@ let test_dispatch_cache_accounting () =
     (stats.P.pool.P.pending = 0
     && stats.P.pool.P.submitted = stats.P.pool.P.settled)
 
+(* Dispatch runs on the event loop, so request sizes are capped: an
+   over-cap sweep or simulate fails as invalid input without running. *)
+let test_dispatch_rejects_oversized_requests () =
+  Pool.with_pool ~jobs:1 @@ fun pool ->
+  let d = Dispatch.create ~pool () in
+  let replies =
+    Dispatch.handle_batch d
+      [
+        ((), 0, P.Sweep { m = 2; k = 3; f = 1; n = 100.; samples = 1025 });
+        ( (),
+          1,
+          P.Simulate { beta = 3.5; x = 500.; samples = 65_537; seed = 1 } );
+        ( (),
+          2,
+          P.Simulate { beta = 3.5; x = 500.; samples = 65_536; seed = 1 } );
+      ]
+  in
+  List.iter
+    (fun ((), id, resp) ->
+      match (id, resp) with
+      | 0, P.Failed (E.Invalid_input { where = "serve/sweep"; _ })
+      | 1, P.Failed (E.Invalid_input { where = "serve/simulate"; _ })
+      | 2, P.Simulate_ok _ ->
+          ()
+      | _ ->
+          Alcotest.fail
+            (Printf.sprintf "request %d: %s" id
+               (Json.to_string (P.response_to_json resp))))
+    replies
+
 (* ------------------------------------------------------------------ *)
 (* end-to-end over a real socket *)
 
@@ -573,6 +603,8 @@ let () =
             test_dispatch_failure_shapes;
           tc "shared cache hits and counters" `Quick
             test_dispatch_cache_accounting;
+          tc "oversized sweep and simulate are rejected" `Quick
+            test_dispatch_rejects_oversized_requests;
         ] );
       ( "server",
         [
