@@ -33,27 +33,22 @@ let section id title =
    drill: with retries > Chaos.max_faults the output must be
    byte-identical to a fault-free run. *)
 
-let failed_cells = ref 0
-let chaos_seed = ref None
-let retries = ref 0
-
-let bench_spec () =
-  let chaos =
-    match !chaos_seed with
-    | None -> FS.Chaos.disabled
-    | Some seed -> FS.Chaos.make ~seed ()
-  in
-  { FS.Supervise.default with chaos; attempts = 1 + max 0 !retries }
+(* Both cells are written on the caller's thread only: the spec once
+   after [Arg.parse], the failure count after each [Supervise.map].
+   They are atomics because the race analysis treats everything
+   [guarded] reaches as pooled. *)
+let failed_cells = Atomic.make 0
+let bench_spec = Atomic.make FS.Supervise.default
 
 let err_row ~id ~width err =
-  incr failed_cells;
+  Atomic.incr failed_cells;
   Printf.eprintf "bench: %s cell failed: %s\n%!" id
     (FS.Search_error.to_string err);
   ("!ERR " ^ FS.Search_error.tag err) :: List.init (width - 1) (fun _ -> "-")
 
 (* supervised counterpart of [Par.parallel_map] for row-valued cells *)
 let guarded pool ~id ~width ~f items =
-  FS.Supervise.map pool ~spec:(bench_spec ())
+  FS.Supervise.map pool ~spec:(Atomic.get bench_spec)
     ~task:(fun i _ -> Printf.sprintf "%s#%d" id i)
     ~f:(fun _meter x -> f x)
     items
@@ -63,7 +58,7 @@ let guarded pool ~id ~width ~f items =
 
 (* variant for cells that may legitimately produce no row (F2) *)
 let guarded_opt pool ~id ~width ~f items =
-  FS.Supervise.map pool ~spec:(bench_spec ())
+  FS.Supervise.map pool ~spec:(Atomic.get bench_spec)
     ~task:(fun i _ -> Printf.sprintf "%s#%d" id i)
     ~f:(fun _meter x -> f x)
     items
@@ -1079,6 +1074,7 @@ let timings_path = Filename.concat "results" "bench_timings.json"
 
 let () =
   let jobs = ref (Pool.default_jobs ()) in
+  let chaos_seed = ref None and retries = ref 0 in
   Arg.parse
     [
       ( "--jobs",
@@ -1101,6 +1097,15 @@ let () =
     prerr_endline "main.exe: --jobs must be >= 1";
     exit 2
   end;
+  Atomic.set bench_spec
+    {
+      FS.Supervise.default with
+      chaos =
+        (match !chaos_seed with
+        | None -> FS.Chaos.disabled
+        | Some seed -> FS.Chaos.make ~seed ());
+      attempts = 1 + max 0 !retries;
+    };
   let metrics = FS.Metrics.create ~jobs:!jobs () in
   print_endline
     "Reproduction harness: Kupavskii & Welzl, 'Lower Bounds for Searching\n\
@@ -1131,10 +1136,10 @@ let () =
   FS.Metrics.record metrics ~experiment:"suite" ~seconds:(FS.Metrics.total metrics);
   FS.Metrics.write metrics ~path:timings_path;
   Printf.printf "\n(per-experiment wall-clock written to %s)\n" timings_path;
-  if !failed_cells > 0 then begin
+  if Atomic.get failed_cells > 0 then begin
     Printf.eprintf
       "bench: %d grid cell(s) failed (marked !ERR above); exiting 3\n%!"
-      !failed_cells;
+      (Atomic.get failed_cells);
     exit 3
   end;
   print_endline "\nall experiments completed."

@@ -50,9 +50,9 @@ let permits t ~rule ~file =
 let entries t = List.map (fun e -> (e.rule, e.path)) t.items
 let entries_located t = List.map (fun e -> (e.rule, e.path, e.line)) t.items
 
-(* An entry is stale when its rule was in scope for this run (syntactic
-   rules always; deep/hotpath families only when their pass ran) and it
-   matched no finding, kept or suppressed.  One definition for every
+(* An entry is stale when its rule was in scope for this run (every
+   rule, unless a --rules filter left it out) and it matched no finding,
+   kept or suppressed.  One definition for every
    entry family so the three staleness reports cannot drift. *)
 let stale t ~in_scope ~findings =
   List.filter

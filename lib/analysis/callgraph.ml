@@ -1,5 +1,5 @@
 (* Per-unit def/use extraction over the Typedtree, and the global,
-   alias-resolved call graph the deep passes run on.
+   alias-resolved call graph the interprocedural passes run on.
 
    Names.  Every entity gets one canonical dotted name rooted at its
    compilation unit: the function [map] in [lib/exec/supervise.ml] is
@@ -217,6 +217,38 @@ let is_raiser name =
     (fun r -> String.equal n r || String.ends_with ~suffix:("." ^ r) n)
     raiser_suffixes
 
+(* Type predicates over instantiated [exp_type]s, for the allocation
+   classifier below and the type-directed rules in {!Rules}. *)
+
+let is_float_ty ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) -> Path.same p Predef.path_float
+  | _ -> false
+
+(* the types ocamlopt keeps unboxed in a local ref *)
+let is_immediate_ty ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) ->
+      Path.same p Predef.path_int || Path.same p Predef.path_float
+      || Path.same p Predef.path_bool
+      || Path.same p Predef.path_char
+  | _ -> false
+
+let rec type_exists pred ty =
+  pred ty
+  ||
+  match Types.get_desc ty with
+  | Types.Tarrow (_, a, b, _) -> type_exists pred a || type_exists pred b
+  | Types.Tconstr (_, args, _) -> List.exists (type_exists pred) args
+  | Types.Ttuple ts -> List.exists (type_exists pred) ts
+  | _ -> false
+
+let contains_tvar =
+  type_exists (fun ty ->
+      match Types.get_desc ty with Types.Tvar _ -> true | _ -> false)
+
+let carries_float = type_exists is_float_ty
+
 (* ------------------------------------------------------------------ *)
 (* per-unit extraction                                                 *)
 
@@ -240,9 +272,9 @@ let empty_summary u =
   }
 
 let summarize (u : Cmt_loader.unit_info) =
-  match u.Cmt_loader.structure with
-  | None -> empty_summary u
-  | Some st ->
+  match u.Cmt_loader.annots with
+  | Cmt_loader.Intf _ | Cmt_loader.Other -> empty_summary u
+  | Cmt_loader.Impl st ->
       let unit_name = u.Cmt_loader.modname in
       let file = Option.value u.Cmt_loader.source ~default:u.Cmt_loader.cmt_path in
       (* top-level idents of this unit, by stamp: values and modules *)
@@ -306,19 +338,6 @@ let summarize (u : Cmt_loader.unit_info) =
           Fun.protect ~finally:(fun () -> caught := saved) f
         end
       in
-      let is_float_ty ty =
-        match Types.get_desc ty with
-        | Types.Tconstr (p, [], _) -> Path.same p Predef.path_float
-        | _ -> false
-      in
-      let is_immediate_ty ty =
-        match Types.get_desc ty with
-        | Types.Tconstr (p, [], _) ->
-            Path.same p Predef.path_int || Path.same p Predef.path_float
-            || Path.same p Predef.path_bool
-            || Path.same p Predef.path_char
-        | _ -> false
-      in
       (* the declared (generic) argument types of a function scheme, up
          to [n] arrows deep — Tvars in here are polymorphic formals *)
       let arrow_formals ty n =
@@ -330,14 +349,6 @@ let summarize (u : Cmt_loader.unit_info) =
             | _ -> List.rev acc
         in
         go ty n []
-      in
-      let rec contains_tvar ty =
-        match Types.get_desc ty with
-        | Types.Tvar _ -> true
-        | Types.Tarrow (_, a, b, _) -> contains_tvar a || contains_tvar b
-        | Types.Tconstr (_, args, _) -> List.exists contains_tvar args
-        | Types.Ttuple ts -> List.exists contains_tvar ts
-        | _ -> false
       in
       let is_arrow ty =
         match Types.get_desc ty with Types.Tarrow _ -> true | _ -> false
@@ -701,8 +712,8 @@ let summarize (u : Cmt_loader.unit_info) =
       let finish_def ~prefix ~name ~dloc ~attrs acc =
         let has a =
           List.exists
-            (fun (at : Parsetree.attribute) ->
-              String.equal at.Parsetree.attr_name.Location.txt a)
+            (fun (at : Typedtree.attribute) ->
+              String.equal at.attr_name.Location.txt a)
             attrs
         in
         defs :=

@@ -102,6 +102,11 @@ type summary = {
   aliases : (string * string) list;
 }
 
+val carries_float : Types.type_expr -> bool
+(** [float] occurs anywhere in the type expression ([float list],
+    [int * float], [unit -> float], ...).  Type abbreviations and
+    record fields are not expanded. *)
+
 val summarize : Cmt_loader.unit_info -> summary
 (** Pure per-unit extraction; safe to run in parallel over units. *)
 

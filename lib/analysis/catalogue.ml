@@ -1,36 +1,29 @@
 (* The exhaustive rule catalogue across all four analysis families
-   plus the driver's internal pseudo-rules.  Single source of truth
-   for `--rules` listings and for stale-allowlist scoping: a rule id
-   emitted anywhere but absent here is a bug (pinned by a test), and
-   an allowlist entry naming an uncatalogued rule is stale by
+   plus the driver's internal pseudo-rule.  Single source of truth for
+   `--rules` listings and for the stale-allowlist check: a rule id
+   emitted anywhere but absent here is a bug (pinned by a test), and an
+   allowlist entry naming an uncatalogued rule is stale by
    definition. *)
 
-type family = Syntactic | Deep | Hotpath | Escape | Internal
+type family = Local | Deep | Hotpath | Escape | Internal
 
 type entry = { id : string; family : family; doc : string }
 
 let family_to_string = function
-  | Syntactic -> "syntactic"
+  | Local -> "local"
   | Deep -> "deep"
   | Hotpath -> "hotpath"
   | Escape -> "escape"
   | Internal -> "internal"
-
-(* How each non-syntactic family is switched on; the syntactic rules
-   run always (filtered by --rules). *)
-let family_flag = function
-  | Syntactic -> None
-  | Deep -> Some "--deep"
-  | Hotpath -> Some "--hotpath"
-  | Escape -> Some "--escape"
-  | Internal -> None
 
 let typed_entries =
   [
     {
       id = "deep-nondet";
       family = Deep;
-      doc = "taint chain from a nondeterminism source reaches pool-submitted code";
+      doc =
+        "def reaches ambient nondeterminism (Random.*, wall clocks, \
+         representation hashing, Domain.self), directly or by a call chain";
     };
     {
       id = "deep-race";
@@ -71,34 +64,24 @@ let typed_entries =
       doc = "real Unix socket/clock/sleep primitive reachable from the sim seam";
     };
     {
-      id = "parse";
-      family = Internal;
-      doc = "source file the compiler front end rejects";
-    };
-    {
       id = "cmt-load";
       family = Internal;
-      doc = "cmt artefact that cannot be loaded (rebuild and rerun)";
+      doc =
+        "source with no loadable, up-to-date .cmt/.cmti artefact (build with \
+         dune build @check and rerun)";
     };
   ]
 
 let all =
   List.map
     (fun (r : Rules.rule) ->
-      { id = r.Rules.id; family = Syntactic; doc = r.Rules.doc })
+      { id = r.Rules.id; family = Local; doc = r.Rules.doc })
     Rules.all
   @ typed_entries
 
 let find id = List.find_opt (fun e -> String.equal e.id id) all
 
-let family_equal (a : family) b =
-  match (a, b) with
-  | Syntactic, Syntactic | Deep, Deep | Hotpath, Hotpath
-  | Escape, Escape | Internal, Internal ->
-      true
-  | _ -> false
-
-let ids_of family =
-  List.filter_map
-    (fun e -> if family_equal e.family family then Some e.id else None)
-    all
+let is_internal id =
+  match find id with
+  | Some { family = Internal; _ } -> true
+  | Some { family = Local | Deep | Hotpath | Escape; _ } | None -> false

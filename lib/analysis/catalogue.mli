@@ -1,25 +1,21 @@
 (** The exhaustive rule catalogue: every rule id any analysis family
-    can emit, in one place.  Backs the [--rules] listing and the
-    stale-allowlist scoping; a test pins that every emitted rule name
+    can emit, in one place.  Backs the [--rules] listing and filter and
+    the stale-allowlist check; a test pins that every emitted rule name
     is catalogued. *)
 
 type family =
-  | Syntactic  (** parsetree rules, always on (filtered by [--rules]) *)
-  | Deep  (** taint / lockset / lock-order, under [--deep] *)
-  | Hotpath  (** allocation budgets / blocking, under [--hotpath] *)
-  | Escape  (** exception flow / leaks / sim hygiene, under [--escape] *)
+  | Local  (** per-unit rules ({!Rules}) *)
+  | Deep  (** taint / lockset / lock-order *)
+  | Hotpath  (** allocation budgets / blocking *)
+  | Escape  (** exception flow / leaks / sim hygiene *)
   | Internal  (** analysis-failure pseudo-rules (exit code 3) *)
 
 type entry = { id : string; family : family; doc : string }
 
 val all : entry list
-(** Syntactic registry first (in {!Rules.all} order), then the typed
-    families, then the internal pseudo-rules. *)
+(** {!Rules.all} first (in order), then the interprocedural families,
+    then the internal pseudo-rule. *)
 
 val find : string -> entry option
-val ids_of : family -> string list
-
+val is_internal : string -> bool
 val family_to_string : family -> string
-
-val family_flag : family -> string option
-(** The CLI flag that switches the family on, when it is gated. *)

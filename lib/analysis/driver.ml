@@ -12,26 +12,6 @@ type outcome = {
   budget_stale : (string * int) list;
 }
 
-(* Stale-allowlist scoping is catalogue-driven: a gated family's
-   entries are out of scope when the owning pass did not run, and an
-   entry naming a rule the catalogue does not know is always in scope
-   (and thus reported stale).  [cmt-load] belongs to every cmt-backed
-   family (any of them loads artefacts). *)
-let rule_in_scope ~deep ~hotpath ~escape rule =
-  match Catalogue.find rule with
-  | Some { Catalogue.family = Catalogue.Deep; _ } -> deep
-  | Some { Catalogue.family = Catalogue.Hotpath; _ } -> hotpath
-  | Some { Catalogue.family = Catalogue.Escape; _ } -> escape
-  | Some { Catalogue.family = Catalogue.Internal; _ }
-    when String.equal rule "cmt-load" ->
-      deep || hotpath || escape
-  | _ -> true
-
-(* Findings that mean the analysis itself could not do its job; the
-   exit-code contract reports them as internal (3), not as lint
-   verdicts (1). *)
-let internal_rule_ids = Catalogue.ids_of Catalogue.Internal
-
 let default_dirs = [ "bench"; "bin"; "lib"; "test" ]
 
 let load_allow ~root = Allow.load (Filename.concat root "lint.allow")
@@ -42,56 +22,79 @@ let validate_rules = function
   | Some ids ->
       List.iter
         (fun id ->
-          match Rules.find id with
-          | Some _ -> ()
-          | None ->
-              invalid_arg
-                (Printf.sprintf "Driver.run: unknown rule %S (known: %s)" id
-                   (String.concat ", "
-                      (List.map (fun r -> r.Rules.id) Rules.all))))
+          if Option.is_none (Catalogue.find id) then
+            invalid_arg
+              (Printf.sprintf "Driver.run: unknown rule %S (known: %s)" id
+                 (String.concat ", "
+                    (List.map (fun e -> e.Catalogue.id) Catalogue.all))))
         ids
 
-let check_source ?rules ~has_mli src =
-  let ctx = { Rules.rel_path = src.Source.rel_path; has_mli } in
-  Rules.run ?only:rules ctx src
-
-let lint_string ?rules ?(has_mli = true) ~path contents =
-  validate_rules rules;
-  match Source.parse_string ~rel_path:path contents with
-  | Error finding -> [ finding ]
-  | Ok src -> List.sort_uniq Finding.compare (check_source ?rules ~has_mli src)
-
-let run ?jobs ?rules ?(deep = false) ?(hotpath = false) ?(escape = false)
-    ?(dirs = default_dirs) ?(allow = Allow.empty) ?(budget = Budget.empty)
-    ~root () =
-  validate_rules rules;
-  let paths = Source.discover ~root ~dirs in
-  let mli_present =
-    List.filter (fun p -> Filename.check_suffix p ".mli") paths
+(* One pipeline for every family: load the artefacts, pair them with
+   the sources, walk each fresh unit once for the per-unit rules, build
+   the call graph once for the interprocedural families.  Loads are
+   serialised (compiler-libs unmarshalling); the walks and summaries are
+   order-preserving parallel maps over immutable Typedtree data, and the
+   global passes fold over sorted names — so the findings are
+   byte-identical at any pool size. *)
+let analyse ~pool ~allow ~budget ~dirs ~root sources =
+  let build_dir = Cmt_loader.build_dir ~root in
+  let loaded =
+    Par.parallel_map pool
+      (Cmt_loader.discover ~build_dir ~dirs)
+      ~f:(Cmt_loader.load ~build_dir)
   in
-  let check rel_path =
-    let has_mli =
-      Filename.check_suffix rel_path ".ml"
-      && List.mem (rel_path ^ "i") mli_present
-      || Filename.check_suffix rel_path ".mli"
-    in
-    match Source.parse_file ~root rel_path with
-    | Error finding -> [ finding ]
-    | Ok src -> check_source ?rules ~has_mli src
+  let fresh, generated, unpaired =
+    Cmt_loader.match_sources ~root ~sources
+      (List.filter_map Result.to_option loaded)
   in
-  let per_file, cmt_findings, units, budget_stale =
+  let impls, intfs =
+    List.partition
+      (fun u ->
+        match u.Cmt_loader.annots with
+        | Cmt_loader.Impl _ -> true
+        | Cmt_loader.Intf _ | Cmt_loader.Other -> false)
+      (fresh @ generated)
+  in
+  let impls = Cmt_loader.dedup impls in
+  let graph =
+    Callgraph.build (Par.parallel_map pool impls ~f:Callgraph.summarize)
+  in
+  let local =
+    Par.parallel_map pool fresh ~f:(fun u ->
+        match u.Cmt_loader.source with
+        | Some file -> Rules.check_unit ~file u.Cmt_loader.annots
+        | None -> [])
+  in
+  let audited file = Allow.permits allow ~rule:"deep-nondet" ~file in
+  let exports = List.filter_map Cmt_loader.exports intfs in
+  let findings =
+    List.filter_map (function Error f -> Some f | Ok _ -> None) loaded
+    @ unpaired @ List.concat local
+    @ Rules.check_tree ~sources graph
+    @ Taint.findings ~audited graph
+    @ Lockset.findings graph
+    @ Hotpath.findings ~budget graph
+    @ Escape.findings ~exports graph
+  in
+  (findings, List.length impls, Hotpath.stale_budget ~budget graph)
+
+let run ?jobs ?rules ?(dirs = default_dirs) ?(allow = Allow.empty)
+    ?(budget = Budget.empty) ~root () =
+  validate_rules rules;
+  (* internal findings mean the tree could not be analysed: never
+     filtered away *)
+  let selected id =
+    Catalogue.is_internal id
+    || match rules with None -> true | Some ids -> List.mem id ids
+  in
+  let sources = Cmt_loader.discover_sources ~root ~dirs in
+  let findings, units, budget_stale =
     Pool.with_pool ?jobs @@ fun pool ->
-    let per_file = Par.parallel_map pool paths ~f:check in
-    if deep || hotpath || escape then
-      let audited file = Allow.permits allow ~rule:"deep-nondet" ~file in
-      let dfs, units, budget_stale =
-        Deep.collect ~pool ~deep ~hotpath ~escape ~audited ~budget ~dirs ~root
-      in
-      (per_file, dfs, units, budget_stale)
-    else (per_file, [], 0, [])
+    analyse ~pool ~allow ~budget ~dirs ~root sources
   in
   let all =
-    List.sort_uniq Finding.compare (cmt_findings @ List.concat per_file)
+    List.sort_uniq Finding.compare
+      (List.filter (fun f -> selected f.Finding.rule) findings)
   in
   let kept, dropped =
     List.partition
@@ -99,25 +102,22 @@ let run ?jobs ?rules ?(deep = false) ?(hotpath = false) ?(escape = false)
         not (Allow.permits allow ~rule:f.Finding.rule ~file:f.Finding.file))
       all
   in
-  let stale =
-    Allow.stale allow
-      ~in_scope:(rule_in_scope ~deep ~hotpath ~escape)
-      ~findings:all
-  in
   {
     findings = kept;
     suppressed = List.length dropped;
-    files = List.length paths;
+    files = List.length sources;
     units;
-    stale;
-    budget_stale;
+    (* an entry naming an uncatalogued rule is always in scope, and so
+       always stale *)
+    stale =
+      Allow.stale allow
+        ~in_scope:(fun id -> Option.is_none (Catalogue.find id) || selected id)
+        ~findings:all;
+    budget_stale = (if selected "hotpath-alloc" then budget_stale else []);
   }
 
 let exit_code ?(strict = false) o =
-  if
-    List.exists
-      (fun f -> List.mem f.Finding.rule internal_rule_ids)
-      o.findings
+  if List.exists (fun f -> Catalogue.is_internal f.Finding.rule) o.findings
   then 3
   else if o.findings <> [] then 1
   else if strict && (o.stale <> [] || o.budget_stale <> []) then 1

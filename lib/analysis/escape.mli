@@ -21,5 +21,5 @@ val findings :
   exports:(string * string list) list -> Callgraph.t -> Finding.t list
 (** All three rule groups.  [exports] maps compilation-unit names to
     their [.mli]-exported dotted value names (from
-    {!Cmt_loader.load_interface}); a [lib/] unit absent from the list
+    {!Cmt_loader.exports}); a [lib/] unit absent from the list
     is treated as fully public.  Byte-identical at any job count. *)

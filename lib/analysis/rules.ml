@@ -1,418 +1,227 @@
-open Parsetree
-
-type ctx = { rel_path : string; has_mli : bool }
+open Typedtree
 
 type rule = {
   id : string;
   severity : Finding.severity;
   doc : string;
   applies : string -> bool;
-  check : ctx -> Source.t -> Finding.t list;
 }
-
-(* ------------------------------------------------------------------ *)
-(* shared helpers                                                      *)
 
 let in_dir dir path = String.starts_with ~prefix:(dir ^ "/") path
 let in_lib = in_dir "lib"
 let not_in_test path = not (in_dir "test" path)
 let everywhere _ = true
 
-let flat lid = Longident.flatten lid
-let lid_name lid = String.concat "." (flat lid)
+let all =
+  [
+    {
+      id = "poly-compare";
+      severity = Finding.Error;
+      doc =
+        "polymorphic compare/equality where structural comparison is not \
+         exact (in lib/: any type but scalars and containers of them; \
+         elsewhere: float-carrying or tuple types)";
+      applies = everywhere;
+    };
+    {
+      id = "float-hygiene";
+      severity = Finding.Error;
+      doc = "NaN literals, unguarded float_of_string, division by 0.";
+      applies = not_in_test;
+    };
+    {
+      id = "lock-discipline";
+      severity = Finding.Error;
+      doc = "bare Mutex.lock/unlock outside Mutex.protect/Fun.protect";
+      applies = everywhere;
+    };
+    {
+      id = "unsafe-ops";
+      severity = Finding.Error;
+      doc = "Obj.magic, unsafe_get/set, %identity externals";
+      applies = everywhere;
+    };
+    {
+      id = "output-discipline";
+      severity = Finding.Error;
+      doc = "direct stdout/stderr printing inside lib/";
+      applies = in_lib;
+    };
+    {
+      id = "mli-coverage";
+      severity = Finding.Warning;
+      doc = "every lib/ module ships an interface";
+      applies = in_lib;
+    };
+    {
+      id = "closed-variant-wildcard";
+      severity = Finding.Warning;
+      doc = "catch-all _ arm in matches on closed domain variants";
+      applies = in_lib;
+    };
+    {
+      id = "global-mutable-state";
+      severity = Finding.Warning;
+      doc = "top-level refs/tables shared across domains";
+      applies = in_lib;
+    };
+  ]
 
-(* Collect findings with a closure-captured accumulator; each rule
-   builds one iterator over the file's AST. *)
-let collect ctx rule_id severity f =
-  let acc = ref [] in
-  let emit ?suggestion ~loc message =
+let rule id = List.find (fun r -> String.equal r.id id) all
+
+type emit = string -> ?suggestion:string -> loc:Location.t -> string -> unit
+
+(* Findings of [id] at [file], dropped when the rule's path scope
+   rejects the file. *)
+let emitter ~file acc : emit =
+ fun id ?suggestion ~loc message ->
+  let r = rule id in
+  if r.applies file then
     acc :=
-      Finding.v ~rule:rule_id ~severity ~file:ctx.rel_path ?suggestion ~loc
-        message
+      Finding.v ~rule:id ~severity:r.severity ~file ?suggestion ~loc message
       :: !acc
-  in
-  f emit;
-  List.rev !acc
 
-let iter_source (it : Ast_iterator.iterator) (src : Source.t) =
-  match src.Source.ast with
-  | Source.Impl st -> it.structure it st
-  | Source.Intf sg -> it.signature it sg
-
-(* An iterator that only overrides [expr]; the [super] call keeps the
-   traversal going underneath. *)
-let expr_iterator hook =
-  let super = Ast_iterator.default_iterator in
-  { super with expr = (fun self e -> hook super self e) }
+(* The Stdlib name a value path resolves to ([Some "Mutex.lock"]), or
+   [None] for anything defined elsewhere — a local [compare] is not
+   [Stdlib.compare], however it is spelled. *)
+let stdlib_name p =
+  let n = Path.name p in
+  if String.starts_with ~prefix:"Stdlib." n then Some (Callgraph.strip_stdlib n)
+  else None
 
 (* ------------------------------------------------------------------ *)
 (* poly-compare                                                        *)
 
-(* Syntactically "safe" operands for structural (=): immediates and
-   literals whose structural comparison is exactly what is meant. *)
-let rec safe_operand e =
-  match e.pexp_desc with
-  | Pexp_constant (Pconst_integer _ | Pconst_char _ | Pconst_string _) -> true
-  | Pexp_construct ({ txt = Lident "::"; _ }, Some arg) -> (
-      match arg.pexp_desc with
-      | Pexp_tuple [ hd; tl ] -> safe_operand hd && safe_operand tl
-      | _ -> false)
-  | Pexp_construct ({ txt = Lident "Some"; _ }, Some arg) -> safe_operand arg
-  | Pexp_construct (_, None) -> true (* (), [], true, None, Covered, ... *)
-  | Pexp_variant (_, None) -> true
-  | Pexp_tuple es -> List.for_all safe_operand es
-  | Pexp_constraint (e, _) -> safe_operand e
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
-      match flat txt with
-      | [ ("List" | "Array" | "String" | "Bytes" | "Hashtbl" | "Queue");
-          "length" ]
-      | [ "List"; "compare_lengths" ]
-      | [ "Char"; "code" ]
-      | [ "Array"; "dim" ] ->
-          true
-      | _ -> false)
+(* Types at which structural comparison is exact: no floats, no type
+   variables, no abstract or functional values — the scalars with a
+   total structural order, and options, lists, arrays and tuples of
+   them.  Abbreviations are not expanded (there is no typing
+   environment here), so an alias of [int] reads as abstract. *)
+let rec exact ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) ->
+      List.exists (Path.same p)
+        Predef.
+          [
+            path_int; path_char; path_bool; path_unit; path_string; path_int32;
+            path_int64; path_nativeint;
+          ]
+  | Types.Tconstr (p, [ a ], _) ->
+      List.exists (Path.same p) Predef.[ path_option; path_list; path_array ]
+      && exact a
+  | Types.Ttuple ts -> List.for_all exact ts
   | _ -> false
 
-(* Operands that syntactically carry floats. *)
-let rec floatish e =
-  match e.pexp_desc with
-  | Pexp_constant (Pconst_float _) -> true
-  | Pexp_ident { txt; _ } -> (
-      match flat txt with
-      | [ ("infinity" | "nan" | "epsilon_float" | "max_float" | "min_float") ]
-      | [ "Float";
-          ( "nan" | "infinity" | "neg_infinity" | "pi" | "epsilon"
-          | "max_float" | "min_float" ) ] ->
-          true
-      | _ -> false)
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
-      match flat txt with
-      | [ ("~-." | "+." | "-." | "*." | "/." | "**") ]
-      | [ ( "float_of_int" | "float_of_string" | "sqrt" | "exp" | "log"
-          | "log10" | "log1p" | "expm1" | "ceil" | "floor" | "abs_float"
-          | "mod_float" | "atan" | "atan2" | "sin" | "cos" | "tan" ) ]
-      | "Float"
-        :: [ ( "of_int" | "of_string" | "abs" | "min" | "max" | "add" | "sub"
-             | "mul" | "div" | "rem" | "pow" | "sqrt" | "exp" | "log"
-             | "succ" | "pred" | "round" | "trunc" ) ] ->
-          true
-      | _ -> false)
-  | Pexp_constraint
-      (_, { ptyp_desc = Ptyp_constr ({ txt = Lident "float"; _ }, []); _ }) ->
-      true
-  | Pexp_constraint (e, _) -> floatish e
+let is_tuple ty =
+  match Types.get_desc ty with Types.Ttuple _ -> true | _ -> false
+
+(* A constant constructor ([[]], [None], [`A], a constant variant) is an
+   immediate: comparing anything against it is exact whatever the
+   other operand's type. *)
+let constant_operand (e : expression) =
+  match e.exp_desc with
+  | Texp_construct (_, cd, []) -> cd.Types.cstr_arity = 0
+  | Texp_variant (_, None) -> true
   | _ -> false
 
-(* Compound structural operands: records, tuples, non-trivial
-   constructor applications — ordering or equality on these invokes
-   the polymorphic runtime walk. *)
-let compound_literal e =
-  match e.pexp_desc with
-  | Pexp_tuple _ | Pexp_record _ | Pexp_array _ -> true
-  | Pexp_construct (_, Some _) -> not (safe_operand e)
-  | _ -> false
-
-let eq_op = function "=" | "<>" | "==" | "!=" -> true | _ -> false
-let ord_op = function "<" | "<=" | ">" | ">=" -> true | _ -> false
-
-(* [compare] / operators, bare or [Stdlib.]-qualified. *)
-let op_base lid =
-  match flat lid with
-  | [ op ] | [ ("Stdlib" | "Pervasives"); op ] -> Some op
-  | _ -> None
-
-let toplevel_defines_compare st =
-  List.exists
-    (fun item ->
-      match item.pstr_desc with
-      | Pstr_value (_, bindings) ->
-          List.exists
-            (fun vb ->
-              let rec pat_is_compare p =
-                match p.ppat_desc with
-                | Ppat_var { txt = "compare"; _ } -> true
-                | Ppat_constraint (p, _) -> pat_is_compare p
-                | _ -> false
-              in
-              pat_is_compare vb.pvb_pat)
-            bindings
+let against_constant (op : expression) args =
+  (match op.exp_desc with
+  | Texp_ident (p, _, _) -> (
+      match stdlib_name p with
+      | Some ("=" | "<>" | "==" | "!=" | "compare" | "<" | "<=" | ">" | ">=")
+        ->
+          true
       | _ -> false)
-    st
+  | _ -> false)
+  && List.exists
+       (function _, Some a -> constant_operand a | _, None -> false)
+       args
 
-let check_poly_compare ctx src =
-  let local_compare =
-    match src.Source.ast with
-    | Source.Impl st -> toplevel_defines_compare st
-    | Source.Intf _ -> false
-  in
-  collect ctx "poly-compare" Finding.Error @@ fun emit ->
-  let check_compare_ident txt loc =
-    match flat txt with
-    | [ "compare" ] when not local_compare ->
-        emit ~loc
+(* [ty] is the operator's instantiated type, [a -> a -> _]. *)
+let check_comparison (emit : emit) ~file name ty loc =
+  match (name, Types.get_desc ty) with
+  | ("=" | "<>" | "==" | "!=" | "compare"), Types.Tarrow (_, a, _, _) ->
+      let hazard =
+        if in_lib file then not (exact a)
+        else Callgraph.carries_float a || is_tuple a
+      in
+      if hazard then
+        emit "poly-compare" ~loc
           ~suggestion:
-            "use Float.compare / Int.compare / String.compare or a derived \
-             comparator"
-          "polymorphic compare (structural, NaN-hostile)"
-    | [ ("Stdlib" | "Pervasives"); "compare" ] ->
-        emit ~loc
-          ~suggestion:
-            "use Float.compare / Int.compare / String.compare or a derived \
-             comparator"
-          "polymorphic Stdlib.compare (structural, NaN-hostile)"
-    | _ -> ()
-  in
-  let check_apply op loc args =
-    match args with
-    | [ (_, a); (_, b) ] ->
-        if eq_op op then begin
-          let strict = in_lib ctx.rel_path in
-          let hazard =
-            if strict then not (safe_operand a || safe_operand b)
-            else
-              floatish a || floatish b || compound_literal a
-              || compound_literal b
-          in
-          if hazard then
-            emit ~loc
-              ~suggestion:
-                "use a typed equality (Float.equal, Int.equal, String.equal, \
-                 List.equal ...) or pattern matching"
-              (Printf.sprintf
-                 "polymorphic (%s) on operands not syntactically immediate" op)
-        end
-        else if ord_op op && (compound_literal a || compound_literal b) then
-          emit ~loc
-            ~suggestion:"compare fields explicitly with typed comparators"
-            (Printf.sprintf "polymorphic ordering (%s) on compound values" op)
-        else if
-          (op = "min" || op = "max") && (floatish a || floatish b)
-        then
-          emit ~loc
-            ~suggestion:"use Float.min / Float.max (NaN-aware)"
-            (Printf.sprintf
-               "polymorphic %s on floats (NaN falls through (<=))" op)
-    | _ -> ()
-  in
-  let hook (super : Ast_iterator.iterator) self e =
-    match e.pexp_desc with
-    | Pexp_apply (({ pexp_desc = Pexp_ident { txt; loc }; _ } as fn), args)
-      -> (
-        (match op_base txt with
-        | Some op when eq_op op || ord_op op || op = "min" || op = "max" ->
-            check_apply op loc args;
-            (* the operator ident itself is handled here: recurse only
-               into the arguments *)
-            List.iter (fun (_, a) -> self.Ast_iterator.expr self a) args
-        | _ ->
-            (* the function ident is visited by the recursion below *)
-            self.Ast_iterator.expr self fn;
-            List.iter (fun (_, a) -> self.Ast_iterator.expr self a) args))
-    | Pexp_ident { txt; loc } -> (
-        check_compare_ident txt loc;
-        (* (=) passed as a first-class function: as dangerous as calling
-           it, inside lib/ *)
-        match op_base txt with
-        | Some op when eq_op op && in_lib ctx.rel_path ->
-            emit ~loc
-              ~suggestion:"pass a typed equality instead"
-              (Printf.sprintf "polymorphic (%s) used as a function value" op)
-        | _ -> ())
-    | _ -> super.Ast_iterator.expr self e
-  in
-  iter_source (expr_iterator hook) src
+            "use a typed comparator (Float.equal, Int.compare, \
+             String.equal, List.equal ...) or pattern matching"
+          (Printf.sprintf "polymorphic (%s) at %s" name
+             (if Callgraph.carries_float a then "a float-carrying type"
+              else if is_tuple a then "a tuple type"
+              else "a type with no exact structural equality"))
+  | ("<" | "<=" | ">" | ">="), Types.Tarrow (_, a, _, _) when is_tuple a ->
+      emit "poly-compare" ~loc
+        ~suggestion:"compare fields explicitly with typed comparators"
+        (Printf.sprintf "polymorphic ordering (%s) on compound values" name)
+  | ("min" | "max"), Types.Tarrow (_, a, _, _) when Callgraph.carries_float a
+    ->
+      emit "poly-compare" ~loc
+        ~suggestion:"use Float.min / Float.max (NaN-aware)"
+        (Printf.sprintf "polymorphic %s on floats (NaN falls through (<=))"
+           name)
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* nondet                                                              *)
+(* name-based rules                                                    *)
 
-let check_nondet ctx src =
-  collect ctx "nondet" Finding.Error @@ fun emit ->
-  let hook (super : Ast_iterator.iterator) self e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; loc } -> (
-        match flat txt with
-        | "Random" :: _ ->
-            emit ~loc
-              ~suggestion:
-                "draw from Search_numerics.Prng (splittable, replayable) \
-                 instead"
-              (Printf.sprintf "ambient PRNG %s breaks deterministic replay"
-                 (lid_name txt))
-        | [ "Sys"; "time" ]
-        | [ "Unix"; ("gettimeofday" | "time" | "times") ] ->
-            emit ~loc
-              ~suggestion:
-                "time only inside Search_exec.Metrics, which never feeds \
-                 results"
-              (Printf.sprintf "wall-clock read %s is nondeterministic"
-                 (lid_name txt))
-        | [ "Hashtbl"; ("hash" | "seeded_hash" | "randomize") ] ->
-            emit ~loc
-              ~suggestion:"hash with an explicit, versioned function"
-              (Printf.sprintf "%s depends on runtime representation"
-                 (lid_name txt))
-        | _ -> ())
-    | _ -> ());
-    super.Ast_iterator.expr self e
-  in
-  iter_source (expr_iterator hook) src
+let check_name (emit : emit) name loc =
+  match String.split_on_char '.' name with
+  | [ "nan" ] | [ "Float"; "nan" ] ->
+      emit "float-hygiene" ~loc
+        ~suggestion:
+          "model absence with option; NaN poisons comparisons and silently \
+           passes (<=) guards"
+        "literal NaN constructed"
+  | [ "float_of_string" ] | [ "Float"; "of_string" ] ->
+      emit "float-hygiene" ~loc
+        ~suggestion:"use float_of_string_opt and handle the failure explicitly"
+        "unguarded float_of_string raises on bad input"
+  | [ "Mutex"; ("lock" | "unlock") ] ->
+      emit "lock-discipline" ~loc
+        ~suggestion:
+          "wrap the critical section in Mutex.protect (or Fun.protect \
+           ~finally) so exceptions cannot leave the mutex held"
+        (Printf.sprintf "bare %s outside an unwind guard" name)
+  | [ "Obj"; ("magic" | "repr" | "obj") ] ->
+      emit "unsafe-ops" ~loc ~suggestion:"restructure so the types are honest"
+        (Printf.sprintf "%s defeats the type system" name)
+  | [ ("Array" | "String" | "Bytes" | "Float"); prim ]
+    when String.starts_with ~prefix:"unsafe_" prim ->
+      emit "unsafe-ops" ~loc
+        ~suggestion:
+          "use the bounds-checked accessor; prove the win with bench/ before \
+           ever reconsidering"
+        (Printf.sprintf "%s skips bounds checks" name)
+  | [ ( "print_string" | "print_endline" | "print_newline" | "print_char"
+      | "print_int" | "print_float" | "print_bytes" | "prerr_string"
+      | "prerr_endline" | "prerr_newline" | "prerr_char" | "stdout"
+      | "stderr" ) ]
+  | [ "Printf"; ("printf" | "eprintf") ]
+  | [ "Format";
+      ("printf" | "eprintf" | "print_string" | "print_newline" | "print_flush")
+    ] ->
+      emit "output-discipline" ~loc
+        ~suggestion:
+          "library code returns data; route output through Report / Table / \
+           Event_log / Metrics, or take a Format.formatter"
+        (Printf.sprintf "direct console output via %s inside lib/" name)
+  | _ -> ()
 
-(* ------------------------------------------------------------------ *)
-(* float-hygiene                                                       *)
-
-let check_float_hygiene ctx src =
-  collect ctx "float-hygiene" Finding.Error @@ fun emit ->
-  let hook (super : Ast_iterator.iterator) self e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; loc } -> (
-        match flat txt with
-        | [ "nan" ] | [ "Float"; "nan" ] ->
-            emit ~loc
-              ~suggestion:
-                "model absence with option; NaN poisons comparisons and \
-                 silently passes (<=) guards"
-              "literal NaN constructed"
-        | [ "float_of_string" ] | [ "Float"; "of_string" ] ->
-            emit ~loc
-              ~suggestion:
-                "use float_of_string_opt and handle the failure explicitly"
-              "unguarded float_of_string raises on bad input"
-        | _ -> ())
-    | Pexp_apply
-        ( { pexp_desc = Pexp_ident { txt = Lident "/."; loc }; _ },
-          [ _; (_, { pexp_desc = Pexp_constant (Pconst_float (lit, None)); _ })
-          ] ) -> (
-        match float_of_string_opt lit with
-        | Some z when Float.equal z 0. ->
-            emit ~loc "division by the float literal 0. yields inf/NaN"
-        | _ -> ())
-    | _ -> ());
-    super.Ast_iterator.expr self e
-  in
-  iter_source (expr_iterator hook) src
-
-(* ------------------------------------------------------------------ *)
-(* lock-discipline                                                     *)
-
-let check_lock_discipline ctx src =
-  collect ctx "lock-discipline" Finding.Error @@ fun emit ->
-  let hook (super : Ast_iterator.iterator) self e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; loc } -> (
-        match flat txt with
-        | [ "Mutex"; ("lock" | "unlock") ] ->
-            emit ~loc
-              ~suggestion:
-                "wrap the critical section in Mutex.protect (or Fun.protect \
-                 ~finally) so exceptions cannot leave the mutex held"
-              (Printf.sprintf "bare %s outside an unwind guard" (lid_name txt))
-        | _ -> ())
-    | _ -> ());
-    super.Ast_iterator.expr self e
-  in
-  iter_source (expr_iterator hook) src
-
-(* ------------------------------------------------------------------ *)
-(* unsafe-ops                                                          *)
-
-let check_unsafe_ops ctx src =
-  collect ctx "unsafe-ops" Finding.Error @@ fun emit ->
-  let prim_finding vd =
-    if
-      List.exists
-        (fun p -> p = "%identity" || String.starts_with ~prefix:"%obj_" p)
-        vd.pval_prim
-    then
-      emit ~loc:vd.pval_loc
-        ~suggestion:"write the conversion honestly, or isolate and test it"
-        (Printf.sprintf "external %S uses an unchecked primitive"
-           vd.pval_name.Location.txt)
-  in
-  let super = Ast_iterator.default_iterator in
-  let it =
-    {
-      super with
-      expr =
-        (fun self e ->
-          (match e.pexp_desc with
-          | Pexp_ident { txt; loc } -> (
-              match flat txt with
-              | [ "Obj"; ("magic" | "repr" | "obj") ] ->
-                  emit ~loc
-                    ~suggestion:"restructure so the types are honest"
-                    (Printf.sprintf "%s defeats the type system" (lid_name txt))
-              | [ ("Array" | "String" | "Bytes" | "Float"); prim ]
-                when String.starts_with ~prefix:"unsafe_" prim ->
-                  emit ~loc
-                    ~suggestion:
-                      "use the bounds-checked accessor; prove the win with \
-                       bench/ before ever reconsidering"
-                    (Printf.sprintf "%s skips bounds checks" (lid_name txt))
-              | _ -> ())
-          | _ -> ());
-          super.expr self e);
-      structure_item =
-        (fun self item ->
-          (match item.pstr_desc with
-          | Pstr_primitive vd -> prim_finding vd
-          | _ -> ());
-          super.structure_item self item);
-      signature_item =
-        (fun self item ->
-          (match item.psig_desc with
-          | Psig_value vd when vd.pval_prim <> [] -> prim_finding vd
-          | _ -> ());
-          super.signature_item self item);
-    }
-  in
-  iter_source it src
-
-(* ------------------------------------------------------------------ *)
-(* output-discipline                                                   *)
-
-let check_output_discipline ctx src =
-  collect ctx "output-discipline" Finding.Error @@ fun emit ->
-  let hook (super : Ast_iterator.iterator) self e =
-    (match e.pexp_desc with
-    | Pexp_ident { txt; loc } -> (
-        match flat txt with
-        | [ ( "print_string" | "print_endline" | "print_newline"
-            | "print_char" | "print_int" | "print_float" | "print_bytes"
-            | "prerr_string" | "prerr_endline" | "prerr_newline"
-            | "prerr_char" | "stdout" | "stderr" ) ]
-        | [ "Printf"; ("printf" | "eprintf") ]
-        | [ "Format";
-            ( "printf" | "eprintf" | "print_string" | "print_newline"
-            | "print_flush" ) ] ->
-            emit ~loc
-              ~suggestion:
-                "library code returns data; route output through Report / \
-                 Table / Event_log / Metrics, or take a Format.formatter"
-              (Printf.sprintf "direct console output via %s inside lib/"
-                 (lid_name txt))
-        | _ -> ())
-    | _ -> ());
-    super.Ast_iterator.expr self e
-  in
-  iter_source (expr_iterator hook) src
-
-(* ------------------------------------------------------------------ *)
-(* mli-coverage                                                        *)
-
-let check_mli_coverage ctx src =
-  match src.Source.ast with
-  | Source.Intf _ -> []
-  | Source.Impl _ ->
-      if ctx.has_mli then []
-      else
-        [
-          Finding.v ~rule:"mli-coverage" ~severity:Finding.Warning
-            ~file:ctx.rel_path
-            ~loc:(Location.in_file ctx.rel_path)
-            ~suggestion:
-              "add an interface: undocumented exports become load-bearing"
-            "module has no .mli";
-        ]
+let check_primitive (emit : emit) (vd : value_description) =
+  if
+    List.exists
+      (fun p -> p = "%identity" || String.starts_with ~prefix:"%obj_" p)
+      vd.val_prim
+  then
+    emit "unsafe-ops" ~loc:vd.val_loc
+      ~suggestion:"write the conversion honestly, or isolate and test it"
+      (Printf.sprintf "external %S uses an unchecked primitive"
+         vd.val_name.Location.txt)
 
 (* ------------------------------------------------------------------ *)
 (* closed-variant-wildcard                                             *)
@@ -428,175 +237,133 @@ let closed_constructors =
     "Case1"; "Case2";
   ]
 
-let rec head_constructors p =
-  match p.ppat_desc with
-  | Ppat_construct ({ txt; _ }, _) -> [ Longident.last txt ]
-  | Ppat_or (a, b) -> head_constructors a @ head_constructors b
-  | Ppat_alias (p, _) | Ppat_constraint (p, _) -> head_constructors p
+let rec head_constructors (p : pattern) =
+  match p.pat_desc with
+  | Tpat_construct (_, cd, _, _) -> [ cd.Types.cstr_name ]
+  | Tpat_or (a, b, _) -> head_constructors a @ head_constructors b
+  | Tpat_alias (p, _, _) -> head_constructors p
   | _ -> []
 
-let rec is_catch_all p =
-  match p.ppat_desc with
-  | Ppat_any | Ppat_var _ -> true
-  | Ppat_alias (p, _) | Ppat_constraint (p, _) -> is_catch_all p
+let rec is_catch_all (p : pattern) =
+  match p.pat_desc with
+  | Tpat_any | Tpat_var _ -> true
+  | Tpat_alias (p, _, _) -> is_catch_all p
   | _ -> false
 
-let check_closed_variant ctx src =
-  collect ctx "closed-variant-wildcard" Finding.Warning @@ fun emit ->
-  let check_cases cases =
-    if List.for_all (fun c -> c.pc_guard = None) cases then begin
-      let closed =
-        List.concat_map (fun c -> head_constructors c.pc_lhs) cases
-        |> List.filter (fun c -> List.mem c closed_constructors)
-      in
-      match closed with
-      | [] -> ()
-      | witness :: _ ->
-          List.iter
-            (fun c ->
-              if is_catch_all c.pc_lhs then
-                emit ~loc:c.pc_lhs.ppat_loc
-                  ~suggestion:"list the remaining constructors explicitly"
-                  (Printf.sprintf
-                     "catch-all arm in a match on the closed variant of %s: \
-                      a new constructor would be silently swallowed"
-                     witness))
-            cases
-    end
-  in
-  let hook (super : Ast_iterator.iterator) self e =
-    (* [try ... with] arms are exempt: exception sets are open by design *)
-    (match e.pexp_desc with
-    | Pexp_match (_, cases) | Pexp_function cases -> check_cases cases
+(* [lhss] are the value patterns of one match's arms, [None] for an
+   arm with a guard (the check needs every arm unguarded) *)
+let check_arms (emit : emit) lhss =
+  if List.for_all Option.is_some lhss then
+    let lhss = List.filter_map Fun.id lhss in
+    match
+      List.concat_map head_constructors lhss
+      |> List.filter (fun c -> List.mem c closed_constructors)
+    with
+    | [] -> ()
+    | witness :: _ ->
+        List.iter
+          (fun (p : pattern) ->
+            if is_catch_all p then
+              emit "closed-variant-wildcard" ~loc:p.pat_loc
+                ~suggestion:"list the remaining constructors explicitly"
+                (Printf.sprintf
+                   "catch-all arm in a match on the closed variant of %s: a \
+                    new constructor would be silently swallowed"
+                   witness))
+          lhss
+
+(* ------------------------------------------------------------------ *)
+(* the walk                                                            *)
+
+let check_unit ~file annots =
+  let acc = ref [] in
+  let emit = emitter ~file acc in
+  let super = Tast_iterator.default_iterator in
+  let expr self e =
+    (match e.exp_desc with
+    | Texp_ident (p, _, _) -> (
+        match stdlib_name p with
+        | Some name ->
+            check_comparison emit ~file name e.exp_type e.exp_loc;
+            check_name emit name e.exp_loc
+        | None -> ())
+    | Texp_apply
+        ( { exp_desc = Texp_ident (p, _, _); exp_loc; _ },
+          [ _; (_, Some { exp_desc = Texp_constant (Const_float lit); _ }) ] )
+      when Option.equal String.equal (stdlib_name p) (Some "/.")
+           && Option.equal Float.equal (float_of_string_opt lit) (Some 0.) ->
+        emit "float-hygiene" ~loc:exp_loc
+          "division by the float literal 0. yields inf/NaN"
+    | Texp_match (_, cases, _) ->
+        (* [exception] arms are exempt: exception sets are open *)
+        check_arms emit
+          (List.filter_map
+             (fun (c : computation case) ->
+               match split_pattern c.c_lhs with
+               | None, _ -> None
+               | Some p, _ ->
+                   Some (if Option.is_none c.c_guard then Some p else None))
+             cases)
+    | Texp_function { cases; _ } ->
+        check_arms emit
+          (List.map
+             (fun (c : value case) ->
+               if Option.is_none c.c_guard then Some c.c_lhs else None)
+             cases)
     | _ -> ());
-    super.Ast_iterator.expr self e
+    match e.exp_desc with
+    | Texp_apply (op, args) when against_constant op args ->
+        (* walk the operands, not the operator: the comparison is exact *)
+        List.iter
+          (fun (_, a) -> Option.iter (self.Tast_iterator.expr self) a)
+          args
+    | _ -> super.expr self e
   in
-  iter_source (expr_iterator hook) src
+  let structure_item self item =
+    (match item.str_desc with
+    | Tstr_primitive vd -> check_primitive emit vd
+    | _ -> ());
+    super.structure_item self item
+  in
+  let signature_item self item =
+    (match item.sig_desc with
+    | Tsig_value vd -> check_primitive emit vd
+    | _ -> ());
+    super.signature_item self item
+  in
+  let it = { super with expr; structure_item; signature_item } in
+  (match annots with
+  | Cmt_loader.Impl st -> it.structure it st
+  | Cmt_loader.Intf sg -> it.signature it sg
+  | Cmt_loader.Other -> ());
+  !acc
 
 (* ------------------------------------------------------------------ *)
-(* global-mutable-state                                                *)
+(* tree-wide rules                                                     *)
 
-let check_global_mutable ctx src =
-  match src.Source.ast with
-  | Source.Intf _ -> []
-  | Source.Impl st ->
-      collect ctx "global-mutable-state" Finding.Warning @@ fun emit ->
-      let mutable_ctor e =
-        match e.pexp_desc with
-        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
-            match flat txt with
-            | [ "ref" ]
-            | [ ("Hashtbl" | "Queue" | "Stack" | "Buffer" | "Dynarray");
-                "create" ]
-            | [ "Array"; ("make" | "create_float" | "init") ]
-            | [ "Atomic"; "make" ] ->
-                Some (lid_name txt)
-            | _ -> None)
-        | _ -> None
-      in
-      List.iter
-        (fun item ->
-          match item.pstr_desc with
-          | Pstr_value (_, bindings) ->
-              List.iter
-                (fun vb ->
-                  match mutable_ctor vb.pvb_expr with
-                  | Some ctor ->
-                      emit ~loc:vb.pvb_loc
-                        ~suggestion:
-                          "thread the state through a [create]d handle, or \
-                           guard it like Metrics' write lock"
-                        (Printf.sprintf
-                           "top-level mutable state (%s) is shared by every \
-                            domain"
-                           ctor)
-                  | None -> ())
-                bindings
-          | _ -> ())
-        st
-
-(* ------------------------------------------------------------------ *)
-(* registry                                                            *)
-
-let all =
-  [
-    {
-      id = "poly-compare";
-      severity = Finding.Error;
-      doc =
-        "polymorphic compare/equality on non-immediate values (floats, \
-         float-carrying records)";
-      applies = everywhere;
-      check = check_poly_compare;
-    };
-    {
-      id = "nondet";
-      severity = Finding.Error;
-      doc =
-        "ambient nondeterminism: Random.*, wall clocks, representation \
-         hashing";
-      applies = everywhere;
-      check = check_nondet;
-    };
-    {
-      id = "float-hygiene";
-      severity = Finding.Error;
-      doc = "NaN literals, unguarded float_of_string, division by 0.";
-      applies = not_in_test;
-      check = check_float_hygiene;
-    };
-    {
-      id = "lock-discipline";
-      severity = Finding.Error;
-      doc = "bare Mutex.lock/unlock outside Mutex.protect/Fun.protect";
-      applies = everywhere;
-      check = check_lock_discipline;
-    };
-    {
-      id = "unsafe-ops";
-      severity = Finding.Error;
-      doc = "Obj.magic, unsafe_get/set, %identity externals";
-      applies = everywhere;
-      check = check_unsafe_ops;
-    };
-    {
-      id = "output-discipline";
-      severity = Finding.Error;
-      doc = "direct stdout/stderr printing inside lib/";
-      applies = in_lib;
-      check = check_output_discipline;
-    };
-    {
-      id = "mli-coverage";
-      severity = Finding.Warning;
-      doc = "every lib/ module ships an interface";
-      applies = in_lib;
-      check = check_mli_coverage;
-    };
-    {
-      id = "closed-variant-wildcard";
-      severity = Finding.Warning;
-      doc = "catch-all _ arm in matches on closed domain variants";
-      applies = in_lib;
-      check = check_closed_variant;
-    };
-    {
-      id = "global-mutable-state";
-      severity = Finding.Warning;
-      doc = "top-level refs/tables shared across domains";
-      applies = in_lib;
-      check = check_global_mutable;
-    };
-  ]
-
-let find id = List.find_opt (fun r -> String.equal r.id id) all
-
-let run ?only ctx src =
-  let selected =
-    match only with
-    | None -> all
-    | Some ids -> List.filter (fun r -> List.mem r.id ids) all
-  in
-  List.concat_map
-    (fun r -> if r.applies ctx.rel_path then r.check ctx src else [])
-    selected
+let check_tree ~sources (g : Callgraph.t) =
+  let acc = ref [] in
+  List.iter
+    (fun file ->
+      if Filename.check_suffix file ".ml" && not (List.mem (file ^ "i") sources)
+      then
+        emitter ~file acc "mli-coverage" ~loc:(Location.in_file file)
+          ~suggestion:
+            "add an interface: undocumented exports become load-bearing"
+          "module has no .mli")
+    sources;
+  Hashtbl.iter
+    (fun _ (c : Callgraph.cell) ->
+      emitter ~file:c.Callgraph.cell_file acc "global-mutable-state"
+        ~loc:c.Callgraph.cell_loc
+        ~suggestion:
+          "thread the state through a [create]d handle, or guard it like \
+           Metrics' write lock"
+        (Printf.sprintf "top-level mutable state (%s) is shared by every domain"
+           (match c.Callgraph.kind with
+           | Callgraph.Ref -> "ref"
+           | Callgraph.Table -> "Hashtbl"
+           | Callgraph.Container -> "container"
+           | Callgraph.Atomic -> "Atomic")))
+    g.Callgraph.cells;
+  !acc

@@ -1,45 +1,46 @@
-(** The rule registry.
+(** The per-unit rules: one walk over each unit's Typedtree, plus two
+    tree-wide checks.
 
-    Every rule is a syntactic pass over one parsed source file; rules
-    never see type information, so each one documents (in [doc] and in
-    DESIGN.md) the approximation it makes.  Rules are derived from this
-    repo's actual failure modes — each has a motivating bug from PR 1
-    or PR 2 — and their union is the project's determinism and
-    numeric-safety contract.
+    Rules see resolved paths and instantiated types: [compare] is the
+    Stdlib one only if it resolves to [Stdlib.compare], and
+    [poly-compare] decides by the operand type, not by its spelling.
+    Rules are derived from this repo's actual failure modes, and their
+    union with the interprocedural families ({!Catalogue}) is the
+    project's determinism and numeric-safety contract.
 
     Rule ids (stable, used in findings and [lint.allow]):
-    - [poly-compare] — polymorphic [compare]/[=] hazards
-    - [nondet] — ambient nondeterminism ([Random], wall clocks, [Hashtbl.hash])
+    - [poly-compare] — [Stdlib]'s [compare]/[=]/[<>]/... at an operand
+      type where structural comparison is not exact (in [lib/]: anything
+      but [int]/[char]/[bool]/[unit]/[string]/[int32]/[int64]/
+      [nativeint] and options, lists, arrays and tuples of them;
+      elsewhere: float-carrying or tuple types), ordering on tuples,
+      [min]/[max] on floats; a comparison against a constant
+      constructor is always exact
     - [float-hygiene] — NaN literals, unguarded [float_of_string], [/. 0.]
     - [lock-discipline] — bare [Mutex.lock]/[unlock]
     - [unsafe-ops] — [Obj.magic], [unsafe_get]/[set], [%identity]
+      externals (in [.ml] and [.mli])
     - [output-discipline] — direct stdout/stderr printing inside [lib/]
     - [mli-coverage] — [lib/] modules without an interface file
     - [closed-variant-wildcard] — catch-all [_] in matches on closed
       domain variants
-    - [global-mutable-state] — top-level refs/tables in [lib/]
-
-    (The driver adds a tenth pseudo-rule, [parse], for files the
-    compiler front end rejects.) *)
-
-type ctx = {
-  rel_path : string;  (** root-relative path of the file under scrutiny *)
-  has_mli : bool;  (** does a sibling [.mli] exist? ([mli-coverage]) *)
-}
+    - [global-mutable-state] — top-level refs/tables in [lib/] *)
 
 type rule = {
   id : string;
   severity : Finding.severity;
   doc : string;  (** one-line description for [--rules] listings *)
   applies : string -> bool;  (** path scope, e.g. [lib/] only *)
-  check : ctx -> Source.t -> Finding.t list;
 }
 
 val all : rule list
 (** The registry, in reporting order. *)
 
-val find : string -> rule option
+val check_unit : file:string -> Cmt_loader.annots -> Finding.t list
+(** Every per-unit rule whose scope accepts [file], in one walk over
+    the unit compiled from [file].  Unsorted. *)
 
-val run : ?only:string list -> ctx -> Source.t -> Finding.t list
-(** Run every registered rule (or just [only]) whose [applies] accepts
-    the file.  Findings come back unsorted; the driver sorts. *)
+val check_tree : sources:string list -> Callgraph.t -> Finding.t list
+(** The tree-wide rules: [mli-coverage] (an [x.ml] with no [x.mli] in
+    [sources]) and [global-mutable-state] (one warning per
+    {!Callgraph} cell in a scoped file).  Unsorted. *)

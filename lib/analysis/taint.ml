@@ -1,9 +1,10 @@
-(* Interprocedural nondeterminism taint.
+(* Interprocedural nondeterminism taint: the one nondeterminism rule.
 
-   Sources are the same clocks and PRNG entry points the syntactic
-   [nondet] rule knows, but here a def is tainted when it *reaches* one
-   through any chain of top-level calls — the pure-looking helper three
-   calls away from [Random.int] gets reported too, with the full chain.
+   Sources are the ambient clocks, PRNG and representation-hashing entry
+   points.  The first round flags every def that names one directly;
+   later rounds flag every def that *reaches* one through any chain of
+   top-level calls — the pure-looking helper three calls away from
+   [Random.int] gets reported too, with the full chain.
 
    Audited files (the [deep-nondet] entries in lint.allow: metrics,
    budget, lockfile) are taint *barriers*: their defs still produce

@@ -638,9 +638,12 @@ let inv_chaos_supervisor ctx =
 
 (* The lint verdict is a property of the source tree, not of the case,
    so it is computed once per process (the findings are deterministic,
-   so every case reports the same list).  When the sources are not
-   reachable from the working directory — an installed binary, a
-   sandboxed runner — the invariant is vacuously satisfied. *)
+   so every case reports the same list).  Every rule family runs, over
+   the artefacts of the build tree next to the sources: a source with
+   no up-to-date artefact is itself a violation.  When the sources or
+   the build tree are not reachable from the working directory — an
+   installed binary, a sandboxed runner — there is nothing to read and
+   the invariant is vacuously satisfied. *)
 let lint_repo_root () =
   let looks_like_root dir =
     Sys.file_exists (Filename.concat dir "dune-project")
@@ -660,14 +663,21 @@ let lint_violations =
   lazy
     (match lint_repo_root () with
     | None -> []
+    | Some root
+      when String.equal (Search_analysis.Cmt_loader.build_dir ~root) root ->
+        []
     | Some root -> (
-        match Search_analysis.Driver.load_allow ~root with
-        | Error msg -> failf "lint.allow unreadable: %s" msg
-        | Ok allow ->
-            let out = Search_analysis.Driver.run ~jobs:1 ~allow ~root () in
+        let module D = Search_analysis.Driver in
+        match
+          Result.bind (D.load_allow ~root) (fun allow ->
+              Result.map (fun budget -> (allow, budget)) (D.load_budget ~root))
+        with
+        | Error msg -> failf "lint.allow/lint.budget unreadable: %s" msg
+        | Ok (allow, budget) ->
+            let out = D.run ~jobs:1 ~allow ~budget ~root () in
             List.map
               (Format.asprintf "%a" Search_analysis.Finding.pp)
-              out.Search_analysis.Driver.findings))
+              out.D.findings))
 
 (* [Lazy.force] from concurrently checking domains can raise [RacyLazy];
    serialize the one-time computation. *)
@@ -714,36 +724,6 @@ let register ~name run =
     then swap ()
   in
   swap ()
-
-(* analysis.escape_self_clean: the escape family ([--escape]) over the
-   repository's own artefacts, in the same once-per-process shape as
-   [analysis.self_clean].  It additionally needs the [.cmt] files dune
-   emitted: with no build tree next to the sources the driver analyses
-   zero units and the verdict is vacuously clean.  Registered through
-   the extension registry at startup rather than hard-wired into the
-   catalogue, so library users who never link a build tree do not pay
-   for the cmt pass. *)
-let escape_lint_violations =
-  lazy
-    (match lint_repo_root () with
-    | None -> []
-    | Some root -> (
-        match Search_analysis.Driver.load_allow ~root with
-        | Error msg -> failf "lint.allow unreadable: %s" msg
-        | Ok allow ->
-            let out =
-              Search_analysis.Driver.run ~jobs:1 ~rules:[] ~escape:true ~allow
-                ~root ()
-            in
-            List.map
-              (Format.asprintf "%a" Search_analysis.Finding.pp)
-              out.Search_analysis.Driver.findings))
-
-let inv_escape (_ : Case.t) =
-  Mutex.protect lint_force_mutex (fun () -> Lazy.force escape_lint_violations)
-
-let register_escape_invariant () =
-  register ~name:"analysis.escape_self_clean" inv_escape
 
 let sorted_extensions () =
   List.sort

@@ -83,7 +83,7 @@ module Check = Search_check
 (** {1 Static analysis (determinism & numeric-safety lint)} *)
 
 module Analysis = Search_analysis
-(** Submodules: [Analysis.Finding], [Analysis.Allow], [Analysis.Source],
+(** Submodules: [Analysis.Finding], [Analysis.Allow], [Analysis.Cmt_loader],
     [Analysis.Rules], [Analysis.Driver]. *)
 
 (** {1 Parallel execution (domain pool, deterministic sharding)} *)

@@ -1,6 +1,6 @@
 (* Structured error taxonomy; see search_error.mli for the contract. *)
 
-type resource = Steps | Seconds
+type resource = Steps
 
 type t =
   | Invalid_input of { where : string; what : string }
@@ -12,7 +12,6 @@ type t =
       limit : float;
       spent : float;
     }
-  | Cancelled of { task : string; reason : string }
   | Injected_fault of { task : string; attempt : int; kind : string }
   | Worker_crash of { task : string; attempt : int; detail : string }
   | Pool_closed of { what : string }
@@ -23,19 +22,14 @@ exception Error of t
 let raise_ e = raise (Error e)
 let invalid ~where what = raise_ (Invalid_input { where; what })
 
-let resource_name = function Steps -> "steps" | Seconds -> "seconds"
-
-let resource_of_name = function
-  | "steps" -> Some Steps
-  | "seconds" -> Some Seconds
-  | _ -> None
+let resource_name = function Steps -> "steps"
+let resource_of_name = function "steps" -> Some Steps | _ -> None
 
 let tag = function
   | Invalid_input _ -> "invalid-input"
   | Regime_violation _ -> "regime-violation"
   | Non_convergence _ -> "non-convergence"
   | Budget_exceeded _ -> "budget-exceeded"
-  | Cancelled _ -> "cancelled"
   | Injected_fault _ -> "injected-fault"
   | Worker_crash _ -> "worker-crash"
   | Pool_closed _ -> "pool-closed"
@@ -52,7 +46,6 @@ let to_string e =
     | Budget_exceeded { task; resource; limit; spent } ->
         Printf.sprintf "%s: %s limit %g exceeded (spent %g)" task
           (resource_name resource) limit spent
-    | Cancelled { task; reason } -> Printf.sprintf "%s: %s" task reason
     | Injected_fault { task; attempt; kind } ->
         Printf.sprintf "%s (attempt %d): %s" task attempt kind
     | Worker_crash { task; attempt; detail } ->
@@ -99,8 +92,6 @@ let to_json e =
           ("limit", num limit);
           ("spent", num spent);
         ]
-    | Cancelled { task; reason } ->
-        [ ("task", Json.String task); ("reason", Json.String reason) ]
     | Injected_fault { task; attempt; kind } ->
         [
           ("task", Json.String task);
@@ -149,10 +140,6 @@ let of_json j =
         let* limit = flt "limit" in
         let* spent = flt "spent" in
         Some (Budget_exceeded { task; resource; limit; spent })
-    | Some "cancelled" ->
-        let* task = str "task" in
-        let* reason = str "reason" in
-        Some (Cancelled { task; reason })
     | Some "injected-fault" ->
         let* task = str "task" in
         let* attempt = int "attempt" in
@@ -194,5 +181,5 @@ let classify ~task ~attempt = function
 let retryable = function
   | Injected_fault _ | Worker_crash _ | Io_failure _ -> true
   | Invalid_input _ | Regime_violation _ | Non_convergence _
-  | Budget_exceeded _ | Cancelled _ | Pool_closed _ ->
+  | Budget_exceeded _ | Pool_closed _ ->
       false

@@ -1,20 +1,24 @@
 (** Structured error taxonomy for the whole system.
 
     Every failure the runtime can surface — bad regime parameters, a solver
-    that ran out of iterations, a task that blew its budget, a worker domain
-    that died — is a value of {!t}, carried by the single exception
-    {!Error}.  Having one typed channel (instead of stringly
-    [Invalid_argument]/[Failure] everywhere) lets the supervised runtime in
-    [faulty_search.resilience] classify failures, decide what is retryable,
-    render error cells in reports, and journal them as JSON.
+    that ran out of iterations, a task that blew its step budget, a worker
+    domain that died, an injected chaos fault — is a value of {!t}, carried
+    by the single exception {!Error}.  Having one typed channel (instead of
+    stringly [Invalid_argument]/[Failure] everywhere) lets the supervised
+    runtime ([Supervise.map] in [faulty_search.exec]) classify failures,
+    decide what to retry, render error cells in reports, and journal them
+    as JSON.  Each constructor is raised somewhere; none is kept for a
+    mechanism the runtime does not have.
 
     The type lives at the bottom of the dependency stack (numerics) so that
     [lib/bounds], [lib/sim], [lib/exec] and everything above can raise it
     without dependency cycles. *)
 
 type resource =
-  | Steps  (** deterministic step/eval count *)
-  | Seconds  (** wall-clock, only ever consulted behind {!Budget} *)
+  | Steps
+      (** deterministic step/eval count, the one resource the supervised
+          budget meters; a type of its own so the JSON ["resource"]
+          field stays *)
 
 type t =
   | Invalid_input of { where : string; what : string }
@@ -32,8 +36,6 @@ type t =
       limit : float;
       spent : float;
     }  (** A supervised task ran past its per-task budget. *)
-  | Cancelled of { task : string; reason : string }
-      (** A cooperative cancellation token was triggered. *)
   | Injected_fault of { task : string; attempt : int; kind : string }
       (** A fault deliberately injected by the deterministic chaos mode. *)
   | Worker_crash of { task : string; attempt : int; detail : string }

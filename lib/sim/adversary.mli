@@ -59,8 +59,8 @@ val compiled_scan :
     ([out.(0) = neg_infinity] when the candidate set is empty); raises
     the {!Search_numerics.Search_error.Non_convergence} NaN contract of
     [Stats.sup_add].  A [@hot] lint root: zero reachable allocation
-    sites, checked by [lint --hotpath] and cross-checked dynamically by
-    [bench/kernels.exe].
+    sites, checked by the lint's [hotpath-alloc] rule and cross-checked
+    dynamically by [bench/kernels.exe].
 
     {b Monotone first visit.}  Fix a ray and a robot, and let [j(d)] be
     the first leg (in time order) that covers depth [d >= 1] on that

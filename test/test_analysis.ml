@@ -1,12 +1,13 @@
-(* Tests for the determinism & numeric-safety lint pass: per-rule
-   positive/negative fixtures through [Driver.lint_string], the finding
-   JSON round-trip, the allowlist parser, and byte-identical reports at
-   different pool sizes. *)
+(* Tests for the per-unit lint rules and the driver: positive/negative
+   fixtures compiled into throwaway trees ({!Lint_fixture}) and linted
+   through [Driver.run], the artefact-freshness contract, rule
+   selection, the finding JSON round-trip, the allowlist parser, and
+   byte-identical reports at different pool sizes. *)
 
 module Finding = Search_analysis.Finding
 module Allow = Search_analysis.Allow
-module Rules = Search_analysis.Rules
 module Driver = Search_analysis.Driver
+open Lint_fixture
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -15,15 +16,19 @@ let check_string = Alcotest.(check string)
 (* ------------------------------------------------------------------ *)
 (* Fixtures *)
 
-let rules_hit ?rules ?has_mli ~path src =
-  Driver.lint_string ?rules ?has_mli ~path src
+(* Rules hit by [src] compiled as [path] (plus [extra] files compiled
+   before it, e.g. the modules it refers to). *)
+let rules_hit ?rules ?(extra = []) ~path src =
+  (lint ?rules (tree (extra @ [ (path, src) ]))).Driver.findings
+  |> List.filter (fun f -> String.equal f.Finding.file path)
   |> List.map (fun f -> f.Finding.rule)
   |> List.sort_uniq String.compare
 
-let hits rule ?has_mli ~path src =
-  List.exists (String.equal rule) (rules_hit ?has_mli ~path src)
+let hits rule ?extra ~path src =
+  List.exists (String.equal rule) (rules_hit ?extra ~path src)
 
 let test_poly_compare () =
+  with_ocamlc @@ fun () ->
   check_bool "float (=) in lib" true
     (hits "poly-compare" ~path:"lib/sim/fix.ml" "let eq (a : float) b = a = b");
   check_bool "bare compare" true
@@ -32,38 +37,54 @@ let test_poly_compare () =
     (hits "poly-compare" ~path:"lib/sim/fix.ml" "let m a = min a 1.5");
   check_bool "immediate operand ok" false
     (hits "poly-compare" ~path:"lib/sim/fix.ml" "let z n = n = 0");
+  (* decided by the operand type, not its spelling: neither operand is
+     a literal here *)
+  check_bool "int-typed operands ok" false
+    (hits "poly-compare" ~path:"lib/sim/fix.ml" "let z (a : int) b = a = b");
+  check_bool "comparison with a constant constructor ok" false
+    (hits "poly-compare" ~path:"lib/sim/fix.ml"
+       "let e (a : float list) = a = []");
   check_bool "Int.equal ok" false
     (hits "poly-compare" ~path:"lib/sim/fix.ml" "let e a b = Int.equal a b");
   check_bool "local compare definition ok" false
     (hits "poly-compare" ~path:"lib/sim/fix.ml"
        "let compare a b = Int.compare a b\nlet user x y = compare x y");
-  (* outside lib/ only float-smelling or structured operands count *)
+  (* outside lib/ only float-carrying or compound operands count *)
   check_bool "ident (=) in tests ok" false
     (hits "poly-compare" ~path:"test/fix.ml" "let eq a b = a = b");
   check_bool "float (=) in tests flagged" true
-    (hits "poly-compare" ~path:"test/fix.ml" "let eq a = a = 1.5")
+    (hits "poly-compare" ~path:"test/fix.ml" "let eq a = a = 1.5");
+  check_bool "float list (=) in tests flagged" true
+    (hits "poly-compare" ~path:"test/fix.ml"
+       "let e (a : float list) b = a = b")
 
+(* ambient nondeterminism is the taint pass's first round *)
 let test_nondet () =
+  with_ocamlc @@ fun () ->
   check_bool "Random" true
-    (hits "nondet" ~path:"lib/sim/fix.ml" "let r () = Random.int 5");
+    (hits "deep-nondet" ~path:"lib/sim/fix.ml" "let r () = Random.int 5");
   check_bool "Sys.time" true
-    (hits "nondet" ~path:"lib/sim/fix.ml" "let t () = Sys.time ()");
+    (hits "deep-nondet" ~path:"lib/sim/fix.ml" "let t () = Sys.time ()");
   check_bool "Hashtbl.hash" true
-    (hits "nondet" ~path:"lib/sim/fix.ml" "let h x = Hashtbl.hash x");
+    (hits "deep-nondet" ~path:"lib/sim/fix.ml" "let h x = Hashtbl.hash x");
   check_bool "pure code ok" false
-    (hits "nondet" ~path:"lib/sim/fix.ml" "let r () = 5")
+    (hits "deep-nondet" ~path:"lib/sim/fix.ml" "let r () = 5")
 
 let test_float_hygiene () =
+  with_ocamlc @@ fun () ->
   check_bool "nan literal" true
     (hits "float-hygiene" ~path:"lib/sim/fix.ml" "let x = nan");
   check_bool "unguarded float_of_string" true
     (hits "float-hygiene" ~path:"lib/sim/fix.ml"
        "let f s = float_of_string s");
+  check_bool "division by 0." true
+    (hits "float-hygiene" ~path:"lib/sim/fix.ml" "let f x = x /. 0.");
   check_bool "float_of_string_opt ok" false
     (hits "float-hygiene" ~path:"lib/sim/fix.ml"
        "let f s = float_of_string_opt s")
 
 let test_lock_discipline () =
+  with_ocamlc @@ fun () ->
   check_bool "bare lock" true
     (hits "lock-discipline" ~path:"lib/exec/fix.ml" "let f m = Mutex.lock m");
   check_bool "bare unlock" true
@@ -74,6 +95,7 @@ let test_lock_discipline () =
        "let f m g = Mutex.protect m g")
 
 let test_unsafe_ops () =
+  with_ocamlc @@ fun () ->
   check_bool "Obj.magic" true
     (hits "unsafe-ops" ~path:"lib/sim/fix.ml" "let f x = Obj.magic x");
   check_bool "unsafe_get" true
@@ -82,10 +104,14 @@ let test_unsafe_ops () =
   check_bool "%identity external" true
     (hits "unsafe-ops" ~path:"lib/sim/fix.ml"
        "external id : int -> int = \"%identity\"");
+  check_bool "%identity external in an interface" true
+    (hits "unsafe-ops" ~path:"lib/sim/fix.mli"
+       "external id : int -> int = \"%identity\"");
   check_bool "safe get ok" false
     (hits "unsafe-ops" ~path:"lib/sim/fix.ml" "let f a = Array.get a 0")
 
 let test_output_discipline () =
+  with_ocamlc @@ fun () ->
   check_bool "print_string in lib" true
     (hits "output-discipline" ~path:"lib/sim/fix.ml"
        "let f () = print_string \"x\"");
@@ -100,30 +126,37 @@ let test_output_discipline () =
        "let f ppf = Format.fprintf ppf \"x\"")
 
 let test_mli_coverage () =
+  with_ocamlc @@ fun () ->
   check_bool "lib module without mli" true
-    (hits "mli-coverage" ~has_mli:false ~path:"lib/sim/fix.ml" "let x = 1");
+    (hits "mli-coverage" ~path:"lib/sim/fix.ml" "let x = 1");
   check_bool "lib module with mli ok" false
-    (hits "mli-coverage" ~has_mli:true ~path:"lib/sim/fix.ml" "let x = 1");
+    (hits "mli-coverage"
+       ~extra:[ ("lib/sim/fix.mli", "val x : int\n") ]
+       ~path:"lib/sim/fix.ml" "let x = 1");
   check_bool "test module without mli ok" false
-    (hits "mli-coverage" ~has_mli:false ~path:"test/fix.ml" "let x = 1")
+    (hits "mli-coverage" ~path:"test/fix.ml" "let x = 1")
+
+let fault = ("lib/fault.ml", "type kind = Crash | Byzantine\n")
 
 let test_closed_variant_wildcard () =
+  with_ocamlc @@ fun () ->
   check_bool "catch-all over closed variant" true
-    (hits "closed-variant-wildcard" ~path:"lib/sim/fix.ml"
+    (hits "closed-variant-wildcard" ~extra:[ fault ] ~path:"lib/sim/fix.ml"
        "let f k = match k with Fault.Crash -> 1 | _ -> 2");
   check_bool "exhaustive match ok" false
-    (hits "closed-variant-wildcard" ~path:"lib/sim/fix.ml"
+    (hits "closed-variant-wildcard" ~extra:[ fault ] ~path:"lib/sim/fix.ml"
        "let f k = match k with Fault.Crash -> 1 | Fault.Byzantine -> 2");
   check_bool "try with is exempt" false
-    (hits "closed-variant-wildcard" ~path:"lib/sim/fix.ml"
+    (hits "closed-variant-wildcard" ~extra:[ fault ] ~path:"lib/sim/fix.ml"
        "let f g = try g () with Not_found -> 1 | _ -> 2")
 
 let test_global_mutable_state () =
+  with_ocamlc @@ fun () ->
   check_bool "top-level ref" true
     (hits "global-mutable-state" ~path:"lib/sim/fix.ml" "let cache = ref 0");
   check_bool "top-level Hashtbl" true
     (hits "global-mutable-state" ~path:"lib/sim/fix.ml"
-       "let tbl = Hashtbl.create 16");
+       "let tbl : (int, int) Hashtbl.t = Hashtbl.create 16");
   check_bool "local ref ok" false
     (hits "global-mutable-state" ~path:"lib/sim/fix.ml"
        "let count xs = let n = ref 0 in List.iter (fun _ -> incr n) xs; !n");
@@ -131,24 +164,91 @@ let test_global_mutable_state () =
     (hits "global-mutable-state" ~path:"lib/sim/fix.ml"
        "let m = Mutex.create ()")
 
-let test_parse_error_is_a_finding () =
-  let findings = Driver.lint_string ~path:"lib/sim/fix.ml" "let let let" in
-  check_bool "syntax error reported" true
-    (List.exists (fun f -> String.equal f.Finding.rule "parse") findings)
-
 let test_rule_selection () =
+  with_ocamlc @@ fun () ->
   let src = "let eq (a : float) b = a = b\nlet r () = Random.int 5" in
-  let only = rules_hit ~rules:[ "nondet" ] ~path:"lib/sim/fix.ml" src in
-  check_bool "restricted to nondet" true
-    (List.for_all (String.equal "nondet") only && only <> [])
+  let only = rules_hit ~rules:[ "deep-nondet" ] ~path:"lib/sim/fix.ml" src in
+  check_bool "restricted to deep-nondet" true
+    (List.for_all (String.equal "deep-nondet") only && only <> [])
+
+(* any catalogued id is a filter, an interprocedural one included *)
+let test_rule_selection_typed_family () =
+  with_ocamlc @@ fun () ->
+  let root =
+    tree
+      [
+        ( "lib/k.ml",
+          "let helper x = [ x ]\n\
+           let[@hot] kernel x = helper x\n\
+           let t () = Sys.time ()\n\
+           let eq (a : float) b = a = b\n" );
+      ]
+  in
+  check_bool "unfiltered run has other rules" true
+    (List.exists
+       (fun f -> not (String.equal f.Finding.rule "hotpath-alloc"))
+       (lint root).Driver.findings);
+  let o = lint ~rules:[ "hotpath-alloc" ] root in
+  check_bool "only hotpath-alloc reported" true
+    (o.Driver.findings <> []
+    && List.for_all
+         (fun f -> String.equal f.Finding.rule "hotpath-alloc")
+         o.Driver.findings);
+  match lint ~rules:[ "nondet" ] root with
+  | _ -> Alcotest.fail "the deleted nondet id was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Artefacts must match the sources *)
+
+let test_missing_artefact () =
+  with_ocamlc @@ fun () ->
+  let root =
+    make_tree
+      [ ("lib/a.ml", "let x = 1\n"); ("lib/a.mli", "val x : int\n");
+        ("lib/b.ml", "let y = 2\n") ]
+  in
+  check_bool "compile a only" true (compile root [ "lib/a.mli"; "lib/a.ml" ]);
+  let o = lint root in
+  (match by_rule "cmt-load" o.Driver.findings with
+  | [ f ] -> check_string "names the source" "lib/b.ml" f.Finding.file
+  | fs -> Alcotest.failf "expected one cmt-load, got %d" (List.length fs));
+  check_int "internal exit code" 3 (Driver.exit_code o);
+  (* and it survives a rule filter: the tree could not be analysed *)
+  check_int "whatever the filter" 3
+    (Driver.exit_code (lint ~rules:[ "poly-compare" ] root))
+
+let test_stale_artefact () =
+  with_ocamlc @@ fun () ->
+  let root =
+    tree [ ("lib/a.mli", "val x : int\n"); ("lib/a.ml", "let x = 1\n") ]
+  in
+  check_int "fresh tree is clean" 0 (Driver.exit_code ~strict:true (lint root));
+  write_file (Filename.concat root "lib/a.ml") "let x = 2\n";
+  let o = lint root in
+  (match by_rule "cmt-load" o.Driver.findings with
+  | [ f ] ->
+      check_string "names the edited source" "lib/a.ml" f.Finding.file;
+      check_bool "says why" true
+        (contains f.Finding.message "compiled from other contents")
+  | fs -> Alcotest.failf "expected one cmt-load, got %d" (List.length fs));
+  check_int "internal exit code" 3 (Driver.exit_code o)
 
 (* ------------------------------------------------------------------ *)
 (* Finding JSON round-trip *)
 
 let test_finding_json_roundtrip () =
+  with_ocamlc @@ fun () ->
   let findings =
-    Driver.lint_string ~has_mli:false ~path:"lib/sim/fix.ml"
-      "let eq (a : float) b = a = b\nlet r () = Random.bool ()\nlet x = nan"
+    (lint
+       (tree
+          [
+            ( "lib/sim/fix.ml",
+              "let eq (a : float) b = a = b\n\
+               let r () = Random.bool ()\n\
+               let x = nan" );
+          ]))
+      .Driver.findings
   in
   check_bool "fixture produced findings" true (List.length findings >= 3);
   List.iter
@@ -196,28 +296,19 @@ let test_allow_rejects_garbage () =
 (* ------------------------------------------------------------------ *)
 (* Driver determinism on a real (temporary) tree *)
 
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
-let make_fixture_root () =
-  let root = Filename.temp_file "faulty_search_lint" ".d" in
-  Sys.remove root;
-  Sys.mkdir root 0o755;
-  Sys.mkdir (Filename.concat root "lib") 0o755;
-  write_file
-    (Filename.concat root "lib/bad.ml")
-    "let eq (a : float) b = a = b\nlet t () = Sys.time ()\n";
-  write_file (Filename.concat root "lib/ok.ml") "let add a b = a + b\n";
-  write_file (Filename.concat root "lib/ok.mli") "val add : int -> int -> int\n";
-  root
+let fixture_tree () =
+  tree
+    [
+      ("lib/bad.ml", "let eq (a : float) b = a = b\nlet t () = Sys.time ()\n");
+      ("lib/ok.mli", "val add : int -> int -> int\n");
+      ("lib/ok.ml", "let add a b = a + b\n");
+    ]
 
 let test_driver_jobs_invariance () =
-  let root = make_fixture_root () in
-  let o1 = Driver.run ~jobs:1 ~root () in
-  let o4 = Driver.run ~jobs:4 ~root () in
+  with_ocamlc @@ fun () ->
+  let root = fixture_tree () in
+  let o1 = lint ~jobs:1 root in
+  let o4 = lint ~jobs:4 root in
   check_bool "found the planted violations" true
     (List.length o1.Driver.findings >= 3);
   check_string "text report byte-identical" (Driver.render_text o1)
@@ -226,14 +317,17 @@ let test_driver_jobs_invariance () =
     (Driver.render_json o4)
 
 let test_driver_allowlist_filters () =
-  let root = make_fixture_root () in
+  with_ocamlc @@ fun () ->
+  let root = fixture_tree () in
   write_file
     (Filename.concat root "lint.allow")
-    "poly-compare lib/bad.ml\nnondet lib/bad.ml\nmli-coverage lib/bad.ml\n";
+    "poly-compare lib/bad.ml\n\
+     deep-nondet lib/bad.ml\n\
+     mli-coverage lib/bad.ml\n";
   match Driver.load_allow ~root with
   | Error e -> Alcotest.failf "load_allow: %s" e
   | Ok allow ->
-      let out = Driver.run ~jobs:1 ~allow ~root () in
+      let out = lint ~allow root in
       check_int "everything suppressed" 0 (List.length out.Driver.findings);
       check_bool "suppressions counted" true (out.Driver.suppressed >= 3)
 
@@ -255,8 +349,14 @@ let () =
             test_closed_variant_wildcard;
           Alcotest.test_case "global-mutable-state" `Quick
             test_global_mutable_state;
-          Alcotest.test_case "parse errors" `Quick test_parse_error_is_a_finding;
           Alcotest.test_case "rule selection" `Quick test_rule_selection;
+          Alcotest.test_case "rule selection, typed family" `Quick
+            test_rule_selection_typed_family;
+        ] );
+      ( "artefacts",
+        [
+          Alcotest.test_case "missing artefact" `Quick test_missing_artefact;
+          Alcotest.test_case "stale artefact" `Quick test_stale_artefact;
         ] );
       ( "finding",
         [ Alcotest.test_case "json roundtrip" `Quick test_finding_json_roundtrip ] );

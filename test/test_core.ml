@@ -184,7 +184,8 @@ let test_byzantine_transfer_end_to_end () =
     FS.Byzantine_sim.worst_case_detection trs ~f:1 ~target ~horizon:1000.
   in
   check_bool "byzantine = crash with 2f faults" true
-    (byz = FS.Engine.detection_time_worst trs ~f:2 ~target ~horizon:1000.);
+    (Option.equal Float.equal byz
+       (FS.Engine.detection_time_worst trs ~f:2 ~target ~horizon:1000.));
   match
     (byz, FS.Engine.detection_time_worst trs ~f:1 ~target ~horizon:1000.)
   with

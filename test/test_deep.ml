@@ -1,7 +1,6 @@
-(* Tests for the typed, interprocedural analysis family: fixture trees
-   compiled with ocamlc -bin-annot (so the cmt artefacts look exactly
-   like dune's, with repo-relative source paths), driven through
-   [Deep.collect] and [Driver.run ~deep:true].
+(* Tests for the interprocedural deep family: fixture trees compiled
+   into throwaway roots ({!Lint_fixture}) and linted through
+   [Driver.run].
 
    Covers the three advertised detectors — transitive nondeterminism
    taint with its source→sink chain, an unguarded shared ref captured
@@ -13,57 +12,19 @@ module Finding = Search_analysis.Finding
 module Allow = Search_analysis.Allow
 module Driver = Search_analysis.Driver
 module Callgraph = Search_analysis.Callgraph
-module Deep = Search_analysis.Deep
-module Pool = Search_exec.Pool
+open Lint_fixture
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-let make_tree files =
-  let root = Filename.temp_file "faulty_search_deep" ".d" in
-  Sys.remove root;
-  Sys.mkdir root 0o755;
-  Sys.mkdir (Filename.concat root "lib") 0o755;
-  List.iter
-    (fun (name, contents) -> write_file (Filename.concat root name) contents)
-    files;
-  root
-
-(* Compile fixtures from the tree root so cmt_sourcefile comes out
-   repo-relative ("lib/a.ml"), the way dune records it. *)
-let compile root files =
-  Sys.command
-    (Printf.sprintf "cd %s && ocamlc -bin-annot -c -I lib %s >/dev/null 2>&1"
-       (Filename.quote root)
-       (String.concat " " files))
-  = 0
-
-let have_ocamlc =
-  lazy (Sys.command "ocamlc -version >/dev/null 2>&1" = 0)
-
-(* The toolchain container always has ocamlc; degrade to a vacuous pass
-   elsewhere rather than failing the suite over infrastructure. *)
-let with_ocamlc k = if Lazy.force have_ocamlc then k () else ()
-
-let collect ?(audited = fun _ -> false) root =
-  let findings, units, _budget_stale =
-    Pool.with_pool ~jobs:1 @@ fun pool ->
-    Deep.collect ~pool ~deep:true ~hotpath:false ~escape:false ~audited
-      ~budget:Search_analysis.Budget.empty ~dirs:[ "lib" ] ~root
-  in
-  (findings, units)
-
-let by_rule rule findings =
-  List.filter (fun f -> String.equal f.Finding.rule rule) findings
+let allow_of_string s =
+  match Allow.parse s with
+  | Ok a -> a
+  | Error e -> Alcotest.failf "parse: %s" e
 
 let taint_tree () =
-  make_tree
+  tree
     [
       ( "lib/a.ml",
         "let noise () = Random.int 10\n\
@@ -76,12 +37,9 @@ let taint_tree () =
 
 let test_taint_chain () =
   with_ocamlc @@ fun () ->
-  let root = taint_tree () in
-  check_bool "fixtures compile" true
-    (compile root [ "lib/a.ml"; "lib/uses.ml" ]);
-  let findings, units = collect root in
-  check_int "two units" 2 units;
-  let taint = by_rule "deep-nondet" findings in
+  let o = lint (taint_tree ()) in
+  check_int "two units" 2 o.Driver.units;
+  let taint = by_rule "deep-nondet" o.Driver.findings in
   (* noise, w1, w2 and the cross-module caller *)
   check_int "four tainted defs" 4 (List.length taint);
   match
@@ -93,37 +51,26 @@ let test_taint_chain () =
   | None -> Alcotest.fail "no finding at the w2 call site (lib/a.ml:3)"
   | Some f ->
       check_bool "full source->sink chain" true
-        (let contains s sub =
-           let n = String.length sub in
-           let rec go i =
-             i + n <= String.length s
-             && (String.equal (String.sub s i n) sub || go (i + 1))
-           in
-           go 0
-         in
-         contains f.Finding.message "A.w2 -> A.w1 -> A.noise -> Random.int")
+        (contains f.Finding.message "A.w2 -> A.w1 -> A.noise -> Random.int")
 
 let test_taint_barrier () =
   with_ocamlc @@ fun () ->
-  let root = taint_tree () in
-  check_bool "fixtures compile" true
-    (compile root [ "lib/a.ml"; "lib/uses.ml" ]);
   (* auditing lib/a.ml stops propagation at its boundary (including
      between its own defs) but still reports the defs that touch a
      source directly, so the allow entry suppressing them registers as
      used rather than stale *)
-  let findings, _ =
-    collect ~audited:(fun file -> String.equal file "lib/a.ml") root
+  let o =
+    lint ~allow:(allow_of_string "deep-nondet lib/a.ml\n") (taint_tree ())
   in
-  let taint = by_rule "deep-nondet" findings in
-  check_int "only the direct source toucher" 1 (List.length taint);
-  check_string "and it is in the audited file" "lib/a.ml"
-    (List.hd taint).Finding.file
+  check_int "only the direct source toucher, suppressed" 1 o.Driver.suppressed;
+  check_int "callers stay clean" 0
+    (List.length (by_rule "deep-nondet" o.Driver.findings));
+  check_bool "the entry is in use" true (o.Driver.stale = [])
 
 let test_race () =
   with_ocamlc @@ fun () ->
   let root =
-    make_tree
+    tree
       [
         ( "lib/b.ml",
           "let[@pool_entry] submit f = f ()\n\
@@ -137,29 +84,19 @@ let test_race () =
           \  submit (fun () -> Mutex.protect guard @@ fun () -> leak2 := !leak2 + 1)\n" );
       ]
   in
-  check_bool "fixture compiles" true (compile root [ "lib/b.ml" ]);
-  let findings, _ = collect root in
-  let races = by_rule "deep-race" findings in
+  let races = by_rule "deep-race" (lint root).Driver.findings in
   check_int "exactly the unguarded cell" 1 (List.length races);
   let f = List.hd races in
   check_string "at the mutation site" "lib/b.ml" f.Finding.file;
   check_int "line of leak := ..." 5 f.Finding.line;
   check_bool "names the cell and the job chain" true
-    (let contains s sub =
-       let n = String.length sub in
-       let rec go i =
-         i + n <= String.length s
-         && (String.equal (String.sub s i n) sub || go (i + 1))
-       in
-       go 0
-     in
-     contains f.Finding.message "B.leak"
-     && contains f.Finding.message "B.bad{B.submit}")
+    (contains f.Finding.message "B.leak"
+    && contains f.Finding.message "B.bad{B.submit}")
 
 let test_lock_order () =
   with_ocamlc @@ fun () ->
   let root =
-    make_tree
+    tree
       [
         ( "lib/c.ml",
           "let ma = Mutex.create ()\n\
@@ -168,32 +105,20 @@ let test_lock_order () =
            let f2 () = Mutex.protect mb (fun () -> Mutex.protect ma (fun () -> ()))\n" );
       ]
   in
-  check_bool "fixture compiles" true (compile root [ "lib/c.ml" ]);
-  let findings, _ = collect root in
-  let cycles = by_rule "deep-lock-order" findings in
+  let cycles = by_rule "deep-lock-order" (lint root).Driver.findings in
   check_int "one cycle, reported once" 1 (List.length cycles);
   let f = List.hd cycles in
   check_string "witnessed in c.ml" "lib/c.ml" f.Finding.file;
   check_int "at the inner protect of f1" 3 f.Finding.line;
   check_bool "names both mutexes" true
-    (let contains s sub =
-       let n = String.length sub in
-       let rec go i =
-         i + n <= String.length s
-         && (String.equal (String.sub s i n) sub || go (i + 1))
-       in
-       go 0
-     in
-     contains f.Finding.message "C.ma" && contains f.Finding.message "C.mb")
+    (contains f.Finding.message "C.ma" && contains f.Finding.message "C.mb")
 
 let test_deep_jobs_invariance () =
   with_ocamlc @@ fun () ->
   let root = taint_tree () in
-  check_bool "fixtures compile" true
-    (compile root [ "lib/a.ml"; "lib/uses.ml" ]);
-  let o1 = Driver.run ~jobs:1 ~deep:true ~root () in
-  let o4 = Driver.run ~jobs:4 ~deep:true ~root () in
-  check_bool "deep pass ran" true (o1.Driver.units = 2);
+  let o1 = lint ~jobs:1 root in
+  let o4 = lint ~jobs:4 root in
+  check_int "deep pass ran" 2 o1.Driver.units;
   check_bool "found the planted taint" true
     (by_rule "deep-nondet" o1.Driver.findings <> []);
   check_string "text report byte-identical" (Driver.render_text o1)
@@ -215,59 +140,55 @@ let test_entries_located () =
         (Allow.entries_located allow)
 
 let test_stale_detection () =
+  with_ocamlc @@ fun () ->
   let root =
-    make_tree
+    tree
       [
-        ("lib/x.ml", "let t () = Sys.time ()\n");
         ("lib/x.mli", "val t : unit -> float\n");
+        ("lib/x.ml", "let t () = Sys.time ()\n");
       ]
   in
   let allow =
-    match
-      Allow.parse
-        "nondet lib/x.ml\nnondet lib/unused.ml\ndeep-race lib/unused.ml\n"
-    with
-    | Ok a -> a
-    | Error e -> Alcotest.failf "parse: %s" e
+    allow_of_string
+      "deep-nondet lib/x.ml\ndeep-nondet lib/unused.ml\ndeep-race lib/unused.ml\n"
   in
-  let shallow = Driver.run ~jobs:1 ~allow ~root () in
-  check_int "no surviving findings" 0 (List.length shallow.Driver.findings);
-  (* the deep-race entry is out of scope without --deep; only the
-     unmatched syntactic entry is stale *)
+  let all = lint ~allow root in
+  check_int "no surviving findings" 0 (List.length all.Driver.findings);
   Alcotest.(check (list (triple string string int)))
-    "shallow stale set"
-    [ ("nondet", "lib/unused.ml", 2) ]
-    shallow.Driver.stale;
-  let deep = Driver.run ~jobs:1 ~deep:true ~allow ~root () in
+    "every unmatched entry is stale"
+    [ ("deep-nondet", "lib/unused.ml", 2); ("deep-race", "lib/unused.ml", 3) ]
+    all.Driver.stale;
+  (* a rule filter takes the other rules' entries out of scope *)
+  let only = lint ~rules:[ "deep-nondet" ] ~allow root in
   Alcotest.(check (list (triple string string int)))
-    "deep brings deep rules into scope"
-    [ ("nondet", "lib/unused.ml", 2); ("deep-race", "lib/unused.ml", 3) ]
-    deep.Driver.stale;
-  check_int "clean tree + stale, default" 0 (Driver.exit_code shallow);
-  check_int "clean tree + stale, strict" 1
-    (Driver.exit_code ~strict:true shallow)
+    "filtered stale set"
+    [ ("deep-nondet", "lib/unused.ml", 2) ]
+    only.Driver.stale;
+  check_int "clean tree + stale, default" 0 (Driver.exit_code all);
+  check_int "clean tree + stale, strict" 1 (Driver.exit_code ~strict:true all)
 
 let test_exit_codes () =
-  let parse_root = make_tree [ ("lib/broken.ml", "let = (\n") ] in
-  let parse_out = Driver.run ~jobs:1 ~root:parse_root () in
-  check_int "syntax error is internal" 3 (Driver.exit_code parse_out);
+  with_ocamlc @@ fun () ->
+  (* a source the compiler rejects leaves no artefact: internal *)
+  let broken_root = make_tree [ ("lib/broken.ml", "let = (\n") ] in
+  check_bool "does not compile" false (compile broken_root [ "lib/broken.ml" ]);
+  check_int "source without artefact is internal" 3
+    (Driver.exit_code (lint broken_root));
   (* a corrupt cmt artefact is likewise internal, not a lint verdict *)
-  let cmt_root = make_tree [ ("lib/garbage.cmt", "not a cmt\n") ] in
-  let cmt_out = Driver.run ~jobs:1 ~deep:true ~root:cmt_root () in
+  let cmt_out = lint (make_tree [ ("lib/garbage.cmt", "not a cmt\n") ]) in
   check_bool "cmt-load finding surfaced" true
     (by_rule "cmt-load" cmt_out.Driver.findings <> []);
   check_int "corrupt artefact is internal" 3 (Driver.exit_code cmt_out);
-  let clean_root =
-    make_tree
-      [
-        ("lib/y.ml", "let add a b = a + b\n");
-        ("lib/y.mli", "val add : int -> int -> int\n");
-      ]
+  let clean =
+    lint
+      (tree
+         [
+           ("lib/y.mli", "val add : int -> int -> int\n");
+           ("lib/y.ml", "let add a b = a + b\n");
+         ])
   in
-  let clean = Driver.run ~jobs:1 ~root:clean_root () in
   check_int "clean is zero" 0 (Driver.exit_code ~strict:true clean);
-  let finding_out = Driver.run ~jobs:1 ~root:(taint_tree ()) () in
-  check_int "ordinary finding is one" 1 (Driver.exit_code finding_out)
+  check_int "ordinary finding is one" 1 (Driver.exit_code (lint (taint_tree ())))
 
 let test_github_render () =
   let o =
@@ -280,19 +201,11 @@ let test_github_render () =
       suppressed = 0;
       files = 1;
       units = 0;
-      stale = [ ("nondet", "lib/unused.ml", 7) ];
+      stale = [ ("deep-nondet", "lib/unused.ml", 7) ];
       budget_stale = [ ("Gone.kernel", 3) ];
     }
   in
   let out = Driver.render_github o in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s
-      && (String.equal (String.sub s i n) sub || go (i + 1))
-    in
-    go 0
-  in
   check_bool "error annotation" true (contains out "::error file=lib/x.ml,line=");
   check_bool "percent escaped" true (contains out "50%25 bad");
   check_bool "newline escaped" true (contains out "%0Asecond line");

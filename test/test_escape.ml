@@ -1,6 +1,5 @@
-(* Tests for the escape analysis family: fixture trees compiled with
-   ocamlc -bin-annot, driven through [Deep.collect] with [~escape:true]
-   and [Driver.run ~escape:true].
+(* Tests for the escape analysis family: fixture trees compiled into
+   throwaway roots ({!Lint_fixture}) and linted through [Driver.run].
 
    Covers the three advertised detectors — exception flow across public
    boundaries with shortest witness chains ([escape-exn], including the
@@ -9,13 +8,11 @@
    [Fun.protect] + closer shape), and sim hygiene from the [lib/dst]
    seam ([escape-realio], with the [@real_io] barrier) — plus the rule
    catalogue's exhaustiveness contract, release-on-raise regressions
-   for the tree's own with_-wrappers, and the registered
-   [analysis.escape_self_clean] fuzz invariant. *)
+   for the tree's own with_-wrappers, and the [analysis.self_clean]
+   fuzz invariant, which carries the escape family. *)
 
 module Finding = Search_analysis.Finding
-module Budget = Search_analysis.Budget
 module Driver = Search_analysis.Driver
-module Deep = Search_analysis.Deep
 module Escape = Search_analysis.Escape
 module Catalogue = Search_analysis.Catalogue
 module Rules = Search_analysis.Rules
@@ -25,66 +22,11 @@ module Client = Search_serve.Client
 module Invariant = Search_check.Invariant
 module Case = Search_check.Case
 module E = Search_numerics.Search_error
+open Lint_fixture
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
-(* Unlike the hotpath fixture helper this one creates nested
-   directories, so a [lib/dst/] seam fixture is expressible. *)
-let make_tree files =
-  let root = Filename.temp_file "faulty_search_escape" ".d" in
-  Sys.remove root;
-  Sys.mkdir root 0o755;
-  List.iter
-    (fun (name, contents) ->
-      let path = Filename.concat root name in
-      mkdir_p (Filename.dirname path);
-      write_file path contents)
-    files;
-  root
-
-(* Compile fixtures from the tree root so cmt_sourcefile comes out
-   repo-relative ("lib/a.ml"), the way dune records it.  [.mli] files
-   listed before their [.ml] compile to the [.cmti] the export pass
-   reads. *)
-let compile root files =
-  Sys.command
-    (Printf.sprintf "cd %s && ocamlc -bin-annot -c -I lib %s >/dev/null 2>&1"
-       (Filename.quote root)
-       (String.concat " " files))
-  = 0
-
-let have_ocamlc = lazy (Sys.command "ocamlc -version >/dev/null 2>&1" = 0)
-let with_ocamlc k = if Lazy.force have_ocamlc then k () else ()
-
-let collect root =
-  Pool.with_pool ~jobs:1 @@ fun pool ->
-  Deep.collect ~pool ~deep:false ~hotpath:false ~escape:true
-    ~audited:(fun _ -> false)
-    ~budget:Budget.empty ~dirs:[ "lib" ] ~root
-
-let by_rule rule findings =
-  List.filter (fun f -> String.equal f.Finding.rule rule) findings
-
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s
-    && (String.equal (String.sub s i n) sub || go (i + 1))
-  in
-  go 0
 
 (* A stub Unix module: the realio rule matches display names, so a
    local lib/unix.ml exercises it without linking the real library. *)
@@ -97,9 +39,8 @@ let unix_stub =
 
 let test_exn_direct () =
   with_ocamlc @@ fun () ->
-  let root = make_tree [ ("lib/a.ml", "let go () = raise Not_found\n") ] in
-  check_bool "fixtures compile" true (compile root [ "lib/a.ml" ]);
-  let findings, units, _ = collect root in
+  let root = tree [ ("lib/a.ml", "let go () = raise Not_found\n") ] in
+  let { Driver.findings; units; _ } = lint root in
   check_int "one unit" 1 units;
   match by_rule "escape-exn" findings with
   | [ f ] ->
@@ -114,7 +55,7 @@ let test_exn_direct () =
 let test_exn_transitive_chain () =
   with_ocamlc @@ fun () ->
   let root =
-    make_tree
+    tree
       [
         ( "lib/b.ml",
           "let deep_raise () = raise Not_found\n\
@@ -122,8 +63,7 @@ let test_exn_transitive_chain () =
            let top () = mid ()\n" );
       ]
   in
-  check_bool "fixtures compile" true (compile root [ "lib/b.ml" ]);
-  let findings, _, _ = collect root in
+  let findings = (lint root).Driver.findings in
   let exn = by_rule "escape-exn" findings in
   (* all three defs are public boundaries of the mli-less unit *)
   check_int "three boundaries flagged" 3 (List.length exn);
@@ -145,7 +85,7 @@ let test_exn_handler_and_privacy () =
   (* the helper's exception is caught at the call site, and the helper
      itself is private to the unit's .mli: nothing escapes *)
   let root =
-    make_tree
+    tree
       [
         ("lib/c.mli", "val safe : unit -> int\n");
         ( "lib/c.ml",
@@ -153,8 +93,7 @@ let test_exn_handler_and_privacy () =
            let safe () = try helper () with Not_found -> 0\n" );
       ]
   in
-  check_bool "fixtures compile" true (compile root [ "lib/c.mli"; "lib/c.ml" ]);
-  let findings, _, _ = collect root in
+  let findings = (lint root).Driver.findings in
   check_int "handled + private: clean" 0
     (List.length (by_rule "escape-exn" findings))
 
@@ -163,15 +102,14 @@ let test_exn_no_mli_is_fully_public () =
   (* same sources, no interface: the helper becomes a public boundary
      and is flagged; the catching caller stays clean *)
   let root =
-    make_tree
+    tree
       [
         ( "lib/c.ml",
           "let helper () = raise Not_found\n\
            let safe () = try helper () with Not_found -> 0\n" );
       ]
   in
-  check_bool "fixtures compile" true (compile root [ "lib/c.ml" ]);
-  let findings, _, _ = collect root in
+  let findings = (lint root).Driver.findings in
   match by_rule "escape-exn" findings with
   | [ f ] ->
       check_bool "the helper, not the catcher" true
@@ -182,15 +120,14 @@ let test_exn_sanctioned_escapes () =
   with_ocamlc @@ fun () ->
   (* the documented fail-fast idiom stays legal at boundaries *)
   let root =
-    make_tree
+    tree
       [
         ( "lib/s.ml",
           "let check x = if x < 0 then invalid_arg \"neg\" else x\n\
            let sure x = assert (x >= 0); x\n" );
       ]
   in
-  check_bool "fixtures compile" true (compile root [ "lib/s.ml" ]);
-  let findings, _, _ = collect root in
+  let findings = (lint root).Driver.findings in
   check_int "Invalid_argument/Assert_failure sanctioned" 0
     (List.length (by_rule "escape-exn" findings));
   check_bool "sanctioned set is the documented trio" true
@@ -202,9 +139,8 @@ let test_exn_sanctioned_escapes () =
 
 let test_leak_bare_acquisition () =
   with_ocamlc @@ fun () ->
-  let root = make_tree [ ("lib/l.ml", "let leak path = open_out path\n") ] in
-  check_bool "fixtures compile" true (compile root [ "lib/l.ml" ]);
-  let findings, _, _ = collect root in
+  let root = tree [ ("lib/l.ml", "let leak path = open_out path\n") ] in
+  let findings = (lint root).Driver.findings in
   match by_rule "escape-leak" findings with
   | [ f ] ->
       check_string "at the acquisition" "lib/l.ml" f.Finding.file;
@@ -217,7 +153,7 @@ let test_leak_bare_acquisition () =
 let test_leak_protected_release () =
   with_ocamlc @@ fun () ->
   let root =
-    make_tree
+    tree
       [
         ( "lib/l.ml",
           "let ok path =\n\
@@ -227,8 +163,7 @@ let test_leak_protected_release () =
           \    (fun () -> output_string oc \"x\")\n" );
       ]
   in
-  check_bool "fixtures compile" true (compile root [ "lib/l.ml" ]);
-  let findings, _, _ = collect root in
+  let findings = (lint root).Driver.findings in
   check_int "protect + closer: clean" 0
     (List.length (by_rule "escape-leak" findings))
 
@@ -236,11 +171,10 @@ let test_leak_releases_audit () =
   with_ocamlc @@ fun () ->
   (* ownership transfer: the audit attribute silences the rule *)
   let root =
-    make_tree
+    tree
       [ ("lib/l.ml", "let[@releases] transfer path = open_out path\n") ]
   in
-  check_bool "fixtures compile" true (compile root [ "lib/l.ml" ]);
-  let findings, _, _ = collect root in
+  let findings = (lint root).Driver.findings in
   check_int "[@releases]: clean" 0
     (List.length (by_rule "escape-leak" findings))
 
@@ -256,13 +190,10 @@ let realio_fixture ~barrier =
     ("lib/dst/d.ml", "let fiber () = W.wrap1 ()\n");
   ]
 
-let realio_files = [ "lib/unix.ml"; "lib/w.ml"; "lib/dst/d.ml" ]
-
 let test_realio_chain () =
   with_ocamlc @@ fun () ->
-  let root = make_tree (realio_fixture ~barrier:false) in
-  check_bool "fixtures compile" true (compile root realio_files);
-  let findings, units, _ = collect root in
+  let root = tree (realio_fixture ~barrier:false) in
+  let { Driver.findings; units; _ } = lint root in
   check_int "three units" 3 units;
   match by_rule "escape-realio" findings with
   | [ f ] ->
@@ -275,9 +206,8 @@ let test_realio_chain () =
 
 let test_realio_barrier () =
   with_ocamlc @@ fun () ->
-  let root = make_tree (realio_fixture ~barrier:true) in
-  check_bool "fixtures compile" true (compile root realio_files);
-  let findings, _, _ = collect root in
+  let root = tree (realio_fixture ~barrier:true) in
+  let findings = (lint root).Driver.findings in
   check_int "[@real_io] barrier stops the traversal" 0
     (List.length (by_rule "escape-realio" findings))
 
@@ -289,16 +219,14 @@ let test_driver_exit_and_jobs_invariance () =
   (* one fixture per rule: the driver must exit 1 on escape findings
      and render byte-identically at any job count *)
   let root =
-    make_tree
+    tree
       (realio_fixture ~barrier:false
       @ [
           ("lib/a.ml", "let go () = raise Not_found\n");
           ("lib/l.ml", "let leak path = open_out path\n");
         ])
   in
-  check_bool "fixtures compile" true
-    (compile root (realio_files @ [ "lib/a.ml"; "lib/l.ml" ]));
-  let run jobs = Driver.run ~jobs ~rules:[] ~escape:true ~dirs:[ "lib" ] ~root () in
+  let run jobs = lint ~jobs ~rules:Escape.rule_ids root in
   let out = run 1 in
   check_bool "all three rules fire" true
     (List.for_all
@@ -317,7 +245,7 @@ let emitted_ids =
   @ [ "deep-nondet"; "deep-race"; "deep-lock-order" ]
   @ [ "hotpath-alloc"; "hotpath-blocking" ]
   @ Escape.rule_ids
-  @ [ "parse"; "cmt-load" ]
+  @ [ "cmt-load" ]
 
 let test_catalogue_exhaustive () =
   List.iter
@@ -332,20 +260,30 @@ let test_catalogue_exhaustive () =
     (List.length (List.sort_uniq String.compare ids))
 
 let test_catalogue_families () =
-  check_bool "escape ids under the Escape family" true
-    (Catalogue.ids_of Catalogue.Escape = Escape.rule_ids);
+  let family id =
+    match Catalogue.find id with
+    | Some e -> e.Catalogue.family
+    | None -> Alcotest.failf "%s not catalogued" id
+  in
   List.iter
     (fun id ->
-      match Catalogue.find id with
-      | Some e ->
-          check_bool (id ^ " gated by --escape") true
-            (Catalogue.family_flag e.Catalogue.family = Some "--escape")
-      | None -> Alcotest.failf "%s not catalogued" id)
+      check_bool (id ^ " in the escape family") true
+        (family id = Catalogue.Escape))
     Escape.rule_ids;
-  check_bool "syntactic rules are ungated" true
-    (Catalogue.family_flag Catalogue.Syntactic = None);
-  check_bool "internal pseudo-rules are ungated" true
-    (Catalogue.family_flag Catalogue.Internal = None)
+  List.iter
+    (fun (r : Rules.rule) ->
+      check_bool (r.Rules.id ^ " in the local family") true
+        (family r.Rules.id = Catalogue.Local))
+    Rules.all;
+  Alcotest.(check (list string))
+    "cmt-load is the one internal id" [ "cmt-load" ]
+    (List.filter_map
+       (fun (e : Catalogue.entry) ->
+         if Catalogue.is_internal e.Catalogue.id then Some e.Catalogue.id
+         else None)
+       Catalogue.all);
+  check_bool "the deleted ids are gone" true
+    (Catalogue.find "nondet" = None && Catalogue.find "parse" = None)
 
 (* ------------------------------------------------------------------ *)
 (* release-on-raise regressions for the tree's own wrappers            *)
@@ -425,29 +363,24 @@ let sample_case =
     turn_seed = 7;
   }
 
+(* The escape family rides [analysis.self_clean]: one invariant, every
+   family, over fresh artefacts of every source (the test stanza
+   depends on the whole tree's @check). *)
 let test_escape_invariant_registered () =
-  Invariant.register_escape_invariant ();
-  check_bool "listed after the built-in catalogue" true
+  check_bool "self_clean in the built-in catalogue" true
+    (List.mem "analysis.self_clean" (Invariant.names ()));
+  check_bool "no separate escape invariant" false
     (List.mem "analysis.escape_self_clean" (Invariant.names ()));
   check_bool "sample case valid" true (Case.valid sample_case);
   let violations =
     List.filter
-      (fun v ->
-        String.equal v.Invariant.invariant "analysis.escape_self_clean")
+      (fun v -> String.equal v.Invariant.invariant "analysis.self_clean")
       (Invariant.check_case sample_case)
   in
   List.iter
-    (fun v -> Printf.eprintf "escape_self_clean: %s\n" v.Invariant.detail)
+    (fun v -> Printf.eprintf "self_clean: %s\n" v.Invariant.detail)
     violations;
-  check_int "own tree escape-lints clean (or vacuously so)" 0
-    (List.length violations);
-  (* registration is idempotent: re-registering does not duplicate *)
-  Invariant.register_escape_invariant ();
-  check_int "registered once" 1
-    (List.length
-       (List.filter
-          (String.equal "analysis.escape_self_clean")
-          (Invariant.names ())))
+  check_int "own tree lints clean" 0 (List.length violations)
 
 (* ------------------------------------------------------------------ *)
 

@@ -180,7 +180,7 @@ let test_parallel_map_t1 () =
   check_bool
     (Printf.sprintf "T1 grid identical at jobs=%d" jobs)
     true
-    (Par.parallel_map pool ~f t1_grid = expected)
+    (List.equal Float.equal (Par.parallel_map pool ~f t1_grid) expected)
 
 let test_parallel_map_t3 () =
   let f (m, k, fl) = F.a_mray ~m ~k ~f:fl in
@@ -189,11 +189,11 @@ let test_parallel_map_t3 () =
   check_bool
     (Printf.sprintf "T3 grid identical at jobs=%d" jobs)
     true
-    (Par.parallel_map pool ~f t3_grid = expected);
+    (List.equal Float.equal (Par.parallel_map pool ~f t3_grid) expected);
   check_bool
     (Printf.sprintf "chunked T3 grid identical at jobs=%d" jobs)
     true
-    (Par.parallel_map ~chunk:3 pool ~f t3_grid = expected)
+    (List.equal Float.equal (Par.parallel_map ~chunk:3 pool ~f t3_grid) expected)
 
 let test_parallel_mapi_and_iter () =
   at_each_size "mapi" @@ fun ~jobs pool ->
@@ -216,7 +216,7 @@ let test_parallel_reduce_float_order () =
   let got = Par.parallel_reduce pool ~map:Fun.id ~combine:( +. ) ~init:0. xs in
   check_bool
     (Printf.sprintf "bit-identical float sum at jobs=%d" jobs)
-    true (got = expected)
+    true (Float.equal got expected)
 
 let test_parallel_map_array () =
   at_each_size "array" @@ fun ~jobs pool ->
@@ -236,12 +236,12 @@ let test_shard_prngs_independent_of_jobs () =
   let draw g = fst (Prng.float g) in
   let leaves = Shard.prngs ~root ~n:6 |> Array.map draw in
   let again = Shard.prngs ~root ~n:6 |> Array.map draw in
-  check_bool "leaves reproducible" true (leaves = again);
+  check_bool "leaves reproducible" true (Array.for_all2 Float.equal leaves again);
   (* a prefix of a larger tree matches: leaf i does not depend on n *)
   let wider = Shard.prngs ~root ~n:10 |> Array.map draw in
   check_bool "leaf i independent of n" true
-    (Array.to_list leaves = List.filteri (fun i _ -> i < 6)
-                               (Array.to_list wider));
+    (List.equal Float.equal (Array.to_list leaves)
+       (List.filteri (fun i _ -> i < 6) (Array.to_list wider)));
   let distinct =
     Array.to_list leaves |> List.sort_uniq Float.compare |> List.length
   in
@@ -318,7 +318,8 @@ let test_memo_concurrent () =
   let keys = List.concat (List.init 20 (fun _ -> t3_grid)) in
   let got = Par.parallel_map pool ~f keys in
   let expected = List.map (fun (m, k, fl) -> F.a_mray ~m ~k ~f:fl) keys in
-  check_bool "all values correct under contention" true (got = expected);
+  check_bool "all values correct under contention" true
+    (List.equal Float.equal got expected);
   check_int "entries bounded by key set" (List.length t3_grid)
     (Memo.stats cache).Memo.entries
 

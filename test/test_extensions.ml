@@ -324,7 +324,7 @@ let test_tc_zero_cost_matches_engine () =
   let target = W.point W.line ~ray:1 ~dist:1.5 in
   let plain = Search_sim.Engine.detection_time_worst tr ~f:0 ~target ~horizon:100. in
   let charged = TC.detection_cost tr ~f:0 ~turn_cost:0. ~target ~horizon:100. in
-  check_bool "c=0 is the plain model" true (plain = charged)
+  check_bool "c=0 is the plain model" true (Option.equal Float.equal plain charged)
 
 let test_tc_cost_monotone_in_c () =
   let tr = [| cow () |] in

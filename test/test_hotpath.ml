@@ -1,6 +1,6 @@
 (* Tests for the hot-path performance analysis family: fixture trees
-   compiled with ocamlc -bin-annot, driven through [Deep.collect] with
-   [~hotpath:true] and [Driver.run ~hotpath:true].
+   compiled into throwaway roots ({!Lint_fixture}) and linted through
+   [Driver.run].
 
    Covers the two advertised detectors — interprocedural allocation
    budgets for [@hot] roots with their witness chains, and blocking-call
@@ -12,56 +12,11 @@
 module Finding = Search_analysis.Finding
 module Budget = Search_analysis.Budget
 module Driver = Search_analysis.Driver
-module Deep = Search_analysis.Deep
-module Pool = Search_exec.Pool
+open Lint_fixture
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-let make_tree files =
-  let root = Filename.temp_file "faulty_search_hotpath" ".d" in
-  Sys.remove root;
-  Sys.mkdir root 0o755;
-  Sys.mkdir (Filename.concat root "lib") 0o755;
-  List.iter
-    (fun (name, contents) -> write_file (Filename.concat root name) contents)
-    files;
-  root
-
-(* Compile fixtures from the tree root so cmt_sourcefile comes out
-   repo-relative ("lib/a.ml"), the way dune records it. *)
-let compile root files =
-  Sys.command
-    (Printf.sprintf "cd %s && ocamlc -bin-annot -c -I lib %s >/dev/null 2>&1"
-       (Filename.quote root)
-       (String.concat " " files))
-  = 0
-
-let have_ocamlc = lazy (Sys.command "ocamlc -version >/dev/null 2>&1" = 0)
-let with_ocamlc k = if Lazy.force have_ocamlc then k () else ()
-
-let collect ?(budget = Budget.empty) root =
-  Pool.with_pool ~jobs:1 @@ fun pool ->
-  Deep.collect ~pool ~deep:false ~hotpath:true ~escape:false
-    ~audited:(fun _ -> false)
-    ~budget ~dirs:[ "lib" ] ~root
-
-let by_rule rule findings =
-  List.filter (fun f -> String.equal f.Finding.rule rule) findings
-
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s
-    && (String.equal (String.sub s i n) sub || go (i + 1))
-  in
-  go 0
 
 let budget_of_string s =
   match Budget.parse s with
@@ -80,13 +35,12 @@ let unix_stub =
 let test_alloc_chain () =
   with_ocamlc @@ fun () ->
   let root =
-    make_tree
+    tree
       [ ("lib/k.ml", "let helper x = [ x ]\nlet[@hot] kernel x = helper x\n") ]
   in
-  check_bool "fixtures compile" true (compile root [ "lib/k.ml" ]);
-  let findings, units, _ = collect root in
-  check_int "one unit" 1 units;
-  match by_rule "hotpath-alloc" findings with
+  let o = lint root in
+  check_int "one unit" 1 o.Driver.units;
+  match by_rule "hotpath-alloc" o.Driver.findings with
   | [ f ] ->
       check_string "at the allocation site" "lib/k.ml" f.Finding.file;
       check_int "first line" 1 f.Finding.line;
@@ -100,21 +54,21 @@ let test_alloc_chain () =
 let test_alloc_within_budget () =
   with_ocamlc @@ fun () ->
   let root =
-    make_tree
+    tree
       [ ("lib/k.ml", "let helper x = [ x ]\nlet[@hot] kernel x = helper x\n") ]
   in
-  check_bool "fixtures compile" true (compile root [ "lib/k.ml" ]);
   let budget = budget_of_string "K.kernel 1  # audited: output cons\n" in
-  let findings, _, stale = collect ~budget root in
-  check_int "no findings" 0 (List.length (by_rule "hotpath-alloc" findings));
-  check_int "entry not stale" 0 (List.length stale)
+  let o = lint ~budget root in
+  check_int "no findings" 0
+    (List.length (by_rule "hotpath-alloc" o.Driver.findings));
+  check_int "entry not stale" 0 (List.length o.Driver.budget_stale)
 
 let test_alloc_exemptions () =
   with_ocamlc @@ fun () ->
   (* an unboxable local ref and a raise-path allocation are both
      exempt: the kernel holds a zero budget *)
   let root =
-    make_tree
+    tree
       [
         ( "lib/z.ml",
           "let[@hot] zero a =\n\
@@ -124,15 +78,13 @@ let test_alloc_exemptions () =
           \  !acc\n" );
       ]
   in
-  check_bool "fixtures compile" true (compile root [ "lib/z.ml" ]);
-  let findings, _, _ = collect root in
   check_int "zero-alloc despite ref and raise path" 0
-    (List.length (by_rule "hotpath-alloc" findings))
+    (List.length (by_rule "hotpath-alloc" (lint root).Driver.findings))
 
 let test_blocking_chain () =
   with_ocamlc @@ fun () ->
   let root =
-    make_tree
+    tree
       [
         unix_stub;
         ( "lib/loop.ml",
@@ -140,10 +92,7 @@ let test_blocking_chain () =
            let[@event_loop] run () = handler ()\n" );
       ]
   in
-  check_bool "fixtures compile" true
-    (compile root [ "lib/unix.ml"; "lib/loop.ml" ]);
-  let findings, _, _ = collect root in
-  match by_rule "hotpath-blocking" findings with
+  match by_rule "hotpath-blocking" (lint root).Driver.findings with
   | [ f ] ->
       check_string "at the blocking reference" "lib/loop.ml" f.Finding.file;
       check_int "handler line" 1 f.Finding.line;
@@ -157,7 +106,7 @@ let test_nonblocking_barrier () =
   (* the audited handler is not entered; the root's own select is the
      loop's wait and stays exempt *)
   let root =
-    make_tree
+    tree
       [
         unix_stub;
         ( "lib/loop.ml",
@@ -167,34 +116,25 @@ let test_nonblocking_barrier () =
           \  ignore (Unix.select [] [] [] 0.05)\n" );
       ]
   in
-  check_bool "fixtures compile" true
-    (compile root [ "lib/unix.ml"; "lib/loop.ml" ]);
-  let findings, _, _ = collect root in
   check_int "no blocking findings" 0
-    (List.length (by_rule "hotpath-blocking" findings))
+    (List.length (by_rule "hotpath-blocking" (lint root).Driver.findings))
 
 let test_stale_budget () =
   with_ocamlc @@ fun () ->
   let root =
-    make_tree [ ("lib/k.ml", "let[@hot] kernel x = x + 1\n") ]
+    tree [ ("lib/k.ml", "let[@hot] kernel x = x + 1\n") ]
   in
-  check_bool "fixtures compile" true (compile root [ "lib/k.ml" ]);
   let budget = budget_of_string "K.kernel 0\nGone.kernel 3\n" in
-  let findings, _, stale = collect ~budget root in
-  check_int "no findings" 0 (List.length findings);
-  (match stale with
+  (* the hotpath rule alone: the fixture has no .mli and is not the
+     code under test here *)
+  let outcome = lint ~rules:[ "hotpath-alloc" ] ~budget root in
+  check_int "no findings" 0 (List.length outcome.Driver.findings);
+  (match outcome.Driver.budget_stale with
   | [ (name, line) ] ->
       check_string "stale name" "Gone.kernel" name;
       check_int "stale line" 2 line
   | _ -> Alcotest.fail "expected exactly the Gone.kernel entry stale");
   (* the driver surfaces it and --strict fails on it *)
-  (* syntactic rules off: the fixture has no .mli and is not the code
-     under test here *)
-  let outcome =
-    Driver.run ~jobs:1 ~rules:[] ~hotpath:true ~budget ~dirs:[ "lib" ] ~root ()
-  in
-  check_bool "driver reports it" true
-    (outcome.Driver.budget_stale = [ ("Gone.kernel", 2) ]);
   check_int "lenient passes" 0 (Driver.exit_code outcome);
   check_int "strict fails" 1 (Driver.exit_code ~strict:true outcome);
   check_bool "text renderer names it" true
@@ -220,7 +160,7 @@ let test_budget_parse () =
 let test_hotpath_jobs_invariance () =
   with_ocamlc @@ fun () ->
   let root =
-    make_tree
+    tree
       [
         unix_stub;
         ( "lib/loop.ml",
@@ -229,11 +169,8 @@ let test_hotpath_jobs_invariance () =
         ("lib/k.ml", "let helper x = [ x ]\nlet[@hot] kernel x = helper x\n");
       ]
   in
-  check_bool "fixtures compile" true
-    (compile root [ "lib/unix.ml"; "lib/loop.ml"; "lib/k.ml" ]);
   let render jobs =
-    Driver.render_json
-      (Driver.run ~jobs ~hotpath:true ~dirs:[ "lib" ] ~root ())
+    Driver.render_json (lint ~jobs root)
   in
   check_string "jobs 1 = jobs 4 bytes" (render 1) (render 4)
 

@@ -263,7 +263,7 @@ let test_engine_worst_matches_fixed_worst_assignment () =
     Engine.detection_time_fixed trs ~assignment ~target ~horizon:200.
   in
   let worst = Engine.detection_time_worst trs ~f:1 ~target ~horizon:200. in
-  check_bool "agree" true (fixed = worst)
+  check_bool "agree" true (Option.equal Float.equal fixed worst)
 
 let test_engine_not_enough_visitors () =
   let trs = two_staggered_cows () in
@@ -325,7 +325,7 @@ let test_engine_worst_exhaustive_assignments () =
           neg_infinity assignments
       in
       check_bool "worst = max over all fixed assignments (exact)" true
-        (worst = fixed_max))
+        (Float.equal worst fixed_max))
     [ 1.1; 3.3; 17.0; 490. ]
 
 let test_engine_worst_exhaustive_tie () =
@@ -342,8 +342,9 @@ let test_engine_worst_exhaustive_tie () =
   List.iter
     (fun assignment ->
       check_bool "every fixed assignment equals worst" true
-        (Engine.detection_time_fixed trs ~assignment ~target ~horizon:100.
-        = worst))
+        (Option.equal Float.equal
+           (Engine.detection_time_fixed trs ~assignment ~target ~horizon:100.)
+           worst))
     (all_f_assignments ~k ~f)
 
 (* ------------------------------------------------------------------ *)
@@ -631,7 +632,8 @@ let test_byzantine_worst_is_2f_plus_1st_visit () =
   let target = W.point W.line ~ray:1 ~dist:3.3 in
   let byz = Byz.worst_case_detection trs ~f:1 ~target ~horizon:500. in
   check_bool "equals engine with 2f faults" true
-    (byz = Engine.detection_time_worst trs ~f:2 ~target ~horizon:500.);
+    (Option.equal Float.equal byz
+       (Engine.detection_time_worst trs ~f:2 ~target ~horizon:500.));
   let crash = Engine.detection_time_worst trs ~f:1 ~target ~horizon:500. in
   check_bool "no earlier than crash" true
     (match (byz, crash) with
@@ -925,7 +927,7 @@ let prop_first_visit_is_min_of_visits =
           Tr.visits tr ~target ~horizon:300. )
       with
       | None, [] -> true
-      | Some t, x :: _ -> t = x
+      | Some t, x :: _ -> Float.equal t x
       | _ -> false)
 
 let prop_detection_monotone_in_f =
