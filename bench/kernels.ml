@@ -5,10 +5,7 @@
    mean) so the CI job stays cheap and dependency-free; the Bechamel
    suite in main.ml remains the precise instrument.
 
-   Writes BENCH_kernels.json (schema below) and appends one line to
-   results/bench_history.jsonl via Metrics.append_history, so the perf
-   trajectory of the kernels is tracked across commits alongside the
-   experiment timings.
+   Writes BENCH_kernels.json (schema below).
 
    Schema:
      { "bench": "kernels", "jobs": 1,
@@ -36,8 +33,6 @@ module FS = Faulty_search
 
 let quota = ref 0.5
 let out_path = ref "BENCH_kernels.json"
-let history_path = ref (Filename.concat "results" "bench_history.jsonl")
-let no_history = ref false
 let budget_path = ref "lint.budget"
 
 (* Mean ns/run of [f], measured in doubling batches until [quota]
@@ -309,13 +304,6 @@ let () =
       ( "--out",
         Arg.Set_string out_path,
         "FILE  where to write the JSON report (default BENCH_kernels.json)" );
-      ( "--history",
-        Arg.Set_string history_path,
-        "FILE  JSONL trend history to append to (default \
-         results/bench_history.jsonl)" );
-      ( "--no-history",
-        Arg.Set no_history,
-        "  skip the trend-history append (CI uses the artifact instead)" );
       ( "--budget",
         Arg.Set_string budget_path,
         "FILE  lint.budget to cross-check Gc meters against (default \
@@ -323,8 +311,11 @@ let () =
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument: " ^ a)))
     "kernels.exe [--quota S] [--out FILE]";
-  if !quota <= 0. then begin
-    prerr_endline "kernels.exe: --quota must be positive";
+  (* checked before anything runs: a NaN quota would time nothing and
+     then truncate --out on a non-finite number; an infinite one never
+     ends *)
+  if not (Float.is_finite !quota && !quota > 0.) then begin
+    prerr_endline "kernels.exe: --quota must be a finite positive number";
     exit 2
   end;
   let results =
@@ -366,29 +357,6 @@ let () =
   output_string oc (FS.Json.to_string ~pretty:true json);
   output_char oc '\n';
   close_out oc;
-  if not !no_history then begin
-    let metrics = FS.Metrics.create ~jobs:1 () in
-    List.iter
-      (fun r ->
-        FS.Metrics.record metrics
-          ~experiment:(r.name ^ "/baseline")
-          ~seconds:(r.baseline_ns /. 1e9);
-        FS.Metrics.record metrics
-          ~experiment:(r.name ^ "/candidate")
-          ~seconds:(r.candidate_ns /. 1e9))
-      results;
-    (* the trend line abuses the seconds column for minor words/op:
-       what matters is that a regression shows as a jump in the series *)
-    List.iter
-      (fun g ->
-        FS.Metrics.record metrics
-          ~experiment:("gc/" ^ g.gname)
-          ~seconds:g.words_per_op)
-      gc_results;
-    (try Unix.mkdir (Filename.dirname !history_path) 0o755
-     with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-    FS.Metrics.append_history metrics ~path:!history_path ~run:"kernels"
-  end;
   List.iter
     (fun r ->
       Printf.printf "%-32s baseline %10.1f ns   compiled %10.1f ns   %.2fx\n"

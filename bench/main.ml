@@ -12,8 +12,7 @@
    default the recommended domain count).  Determinism contract: rows are
    re-assembled in input order and stochastic shards carry split PRNGs,
    so the tables are byte-identical at every job count; only the
-   wall-clock numbers (the MICRO section and results/bench_timings.json)
-   vary. *)
+   wall-clock numbers of the MICRO section vary. *)
 
 module FS = Faulty_search
 module T = FS.Table
@@ -1070,8 +1069,6 @@ let micro_benchmarks () =
 
 (* ------------------------------------------------------------------ *)
 
-let timings_path = Filename.concat "results" "bench_timings.json"
-
 let () =
   let jobs = ref (Pool.default_jobs ()) in
   let chaos_seed = ref None and retries = ref 0 in
@@ -1106,36 +1103,31 @@ let () =
         | Some seed -> FS.Chaos.make ~seed ());
       attempts = 1 + max 0 !retries;
     };
-  let metrics = FS.Metrics.create ~jobs:!jobs () in
   print_endline
     "Reproduction harness: Kupavskii & Welzl, 'Lower Bounds for Searching\n\
      Robots, some Faulty' (PODC 2018).  One section per experiment of\n\
      EXPERIMENTS.md.";
   Pool.with_pool ~jobs:!jobs (fun pool ->
-      let run id experiment = FS.Metrics.time metrics ~experiment:id experiment in
-      run "T1" (fun () -> t1_line_ratio pool);
-      run "T2" t2_byzantine;
-      run "F1" f1_rho_curve;
-      run "T3" (fun () -> t3_mray_ratio pool);
-      run "T4" (fun () -> t4_parallel_rays pool);
-      run "F2" (fun () -> f2_alpha_sweep pool);
-      run "F3" f3_potential_growth;
-      run "T5" (fun () -> t5_fractional pool);
-      run "T6" t6_phase;
-      run "T7" (fun () -> t7_classics pool);
-      run "F4" (fun () -> f4_horizon pool);
-      run "F5" (fun () -> f5_threshold pool);
-      run "F6" (fun () -> f6_eps_n_tradeoff pool);
-      run "X1" (fun () -> x1_distance_measure pool);
-      run "X2" (fun () -> x2_randomized pool);
-      run "X3" (fun () -> x3_turn_cost pool);
-      run "X4" (fun () -> x4_stochastic pool);
-      run "X5" x5_induction;
-      run "CSV" (fun () -> write_csv_series pool);
-      run "MICRO" micro_benchmarks);
-  FS.Metrics.record metrics ~experiment:"suite" ~seconds:(FS.Metrics.total metrics);
-  FS.Metrics.write metrics ~path:timings_path;
-  Printf.printf "\n(per-experiment wall-clock written to %s)\n" timings_path;
+      t1_line_ratio pool;
+      t2_byzantine ();
+      f1_rho_curve ();
+      t3_mray_ratio pool;
+      t4_parallel_rays pool;
+      f2_alpha_sweep pool;
+      f3_potential_growth ();
+      t5_fractional pool;
+      t6_phase ();
+      t7_classics pool;
+      f4_horizon pool;
+      f5_threshold pool;
+      f6_eps_n_tradeoff pool;
+      x1_distance_measure pool;
+      x2_randomized pool;
+      x3_turn_cost pool;
+      x4_stochastic pool;
+      x5_induction ();
+      write_csv_series pool;
+      micro_benchmarks ());
   if Atomic.get failed_cells > 0 then begin
     Printf.eprintf
       "bench: %d grid cell(s) failed (marked !ERR above); exiting 3\n%!"

@@ -1,30 +1,29 @@
-(* serve-load: latency-measuring load generator for the serve daemon.
+(* serve-load: deterministic load generator for the serve daemon.
 
    Drives N concurrent connections (closed loop: one outstanding request
-   per connection) over a deterministic seeded workload mix — mostly
-   bound queries over a small parameter pool (so the shared cache gets
-   hits), plus certificates, Monte-Carlo simulations, sweeps and a few
-   stats probes.  Reports throughput and nearest-rank p50/p99 latency
-   into BENCH_serve.json, and appends a trend line to
-   results/bench_history.jsonl.
+   per connection) over the seeded workload mix the whole-system
+   simulator also uses ({!Search_dst.Harness.gen_request}): mostly bound
+   queries over a small parameter pool (so the shared cache gets hits),
+   plus certificates, Monte-Carlo simulations, sweeps and a few stats
+   probes.  Prints one JSON object on stdout: the run's shape, the
+   overload-retry count, the response digest and the server's stats.
+   Timing is perfbench's job; this tool never reads the clock.
 
    Determinism check: the workload is a pure function of --seed, and the
    daemon's responses are pure functions of the requests, so the hex
-   digest printed at the end — computed over the terminal response bytes
-   of every non-stats request, in global request order — is identical no
-   matter how many worker domains the daemon runs (--jobs 1 vs 4), how
-   requests interleave, or how often admission control sheds (shed
-   requests are retried until served; the retries are counted, the
-   eventual response is the same bytes).  Wall-clock readings stay in
-   the latency report and never touch the digest. *)
+   digest — computed over the terminal response bytes of every non-stats
+   request, in global request order — is identical no matter how many
+   worker domains the daemon runs (--jobs 1 vs 4), how requests
+   interleave, or how often admission control sheds (shed requests are
+   retried until served; the retries are counted, the eventual response
+   is the same bytes). *)
 
 module FS = Faulty_search
 module P = Search_serve.Protocol
 
 let usage () =
   prerr_endline
-    "usage: serve_load [--socket PATH] [--conns N] [--requests N] [--seed S]\n\
-    \                  [--out FILE] [--history FILE|none]";
+    "usage: serve_load [--socket PATH] [--conns N] [--requests N] [--seed S]";
   exit 2
 
 type opts = {
@@ -32,82 +31,33 @@ type opts = {
   mutable conns : int;
   mutable requests : int;
   mutable seed : int;
-  mutable out : string;
-  mutable history : string option;
 }
 
 let parse_args () =
   let o =
-    {
-      socket = "/tmp/faulty-search.sock";
-      conns = 200;
-      requests = 1000;
-      seed = 1;
-      out = "BENCH_serve.json";
-      history = Some (Filename.concat "results" "bench_history.jsonl");
-    }
+    { socket = "/tmp/faulty-search.sock"; conns = 200; requests = 1000; seed = 1 }
   in
+  let int_arg v = match int_of_string_opt v with Some n -> n | None -> usage () in
   let rec go = function
     | [] -> o
     | "--socket" :: v :: rest ->
         o.socket <- v;
         go rest
     | "--conns" :: v :: rest ->
-        o.conns <- int_of_string v;
+        o.conns <- int_arg v;
         go rest
     | "--requests" :: v :: rest ->
-        o.requests <- int_of_string v;
+        o.requests <- int_arg v;
         go rest
     | "--seed" :: v :: rest ->
-        o.seed <- int_of_string v;
-        go rest
-    | "--out" :: v :: rest ->
-        o.out <- v;
-        go rest
-    | "--history" :: "none" :: rest ->
-        o.history <- None;
-        go rest
-    | "--history" :: v :: rest ->
-        o.history <- Some v;
+        o.seed <- int_arg v;
         go rest
     | _ -> usage ()
   in
   let o = go (List.tl (Array.to_list Sys.argv)) in
-  (* --requests 0 is a legal smoke probe: connect, read the server
-     stats, emit a report with null percentiles *)
+  (* --requests 0 is legal: connect once and report the server stats *)
   if o.conns < 1 || o.requests < 0 then usage ();
   o
-
-(* ------------------------------------------------------------------ *)
-(* deterministic workload                                              *)
-
-(* ~50% bound / 20% certify / 15% simulate / 10% sweep / 5% stats *)
-let gen_request prng =
-  let roll, prng = FS.Prng.int ~bound:100 prng in
-  if roll < 50 then begin
-    let mi, prng = FS.Prng.int ~bound:2 prng in
-    let ki, prng = FS.Prng.int ~bound:4 prng in
-    let fi, prng = FS.Prng.int ~bound:3 prng in
-    let k = 1 + ki in
-    (* keep f <= k so most queries are valid instances; the pool is small
-       on purpose — repeats are what make the shared cache hit *)
-    let f = if fi > k then k else fi in
-    (P.Bound { m = 2 + mi; k; f }, prng)
-  end
-  else if roll < 70 then begin
-    let l, prng = FS.Prng.float_range ~lo:4.0 ~hi:6.0 prng in
-    (P.Certify { m = 2; k = 3; f = 1; n = 200.; lambda = l }, prng)
-  end
-  else if roll < 85 then begin
-    let b, prng = FS.Prng.float_range ~lo:2.0 ~hi:5.0 prng in
-    let xi, prng = FS.Prng.int ~bound:900 prng in
-    let s, prng = FS.Prng.int ~bound:1000000 prng in
-    ( P.Simulate
-        { beta = b; x = float_of_int (100 + xi); samples = 64; seed = s },
-      prng )
-  end
-  else if roll < 95 then (P.Sweep { m = 2; k = 3; f = 1; n = 100.; samples = 5 }, prng)
-  else (P.Stats, prng)
 
 let is_stats = function
   | P.Stats -> true
@@ -123,7 +73,6 @@ type conn = {
   mutable sent : int;
   mutable current : int option;  (** outstanding global request index *)
   mutable pending : int list;  (** assigned indices still to issue *)
-  mutable first_send : float;  (** of the current request, first attempt *)
 }
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("serve_load: " ^ s); exit 1) fmt
@@ -142,7 +91,6 @@ let connect path =
     sent = 0;
     current = None;
     pending = [];
-    first_send = 0.;
   }
 
 let enqueue_request requests c i =
@@ -171,12 +119,11 @@ let () =
   let requests = Array.make o.requests P.Stats in
   let prng = ref (FS.Prng.make ~seed:o.seed) in
   for i = 0 to o.requests - 1 do
-    let req, p = gen_request !prng in
+    let req, p = Search_dst.Harness.gen_request ~light:false !prng in
     requests.(i) <- req;
     prng := p
   done;
   let responses = Array.make o.requests "" in
-  let latencies = Array.make o.requests 0. in
   let retries = ref 0 in
   let completed = ref 0 in
   let conns = Array.init (min o.conns o.requests) (fun _ -> connect o.socket) in
@@ -191,7 +138,6 @@ let () =
     | i :: rest ->
         c.pending <- rest;
         c.current <- Some i;
-        c.first_send <- Unix.gettimeofday ();
         enqueue_request requests c i
   in
   Array.iter issue_next conns;
@@ -207,7 +153,6 @@ let () =
             enqueue_request requests c i
         | P.Bound_ok _ | P.Certify_ok _ | P.Sweep_ok _ | P.Simulate_ok _
         | P.Stats_ok _ | P.Failed _ ->
-            latencies.(i) <- Unix.gettimeofday () -. c.first_send;
             responses.(i) <-
               FS.Json.to_string (P.response_to_json resp);
             incr completed;
@@ -241,7 +186,6 @@ let () =
         P.Frame.Decoder.feed c.decoder scratch ~off:0 ~len:n;
         drain_frames c
   in
-  let t0 = Unix.gettimeofday () in
   while !completed < o.requests do
     let live = Array.to_list conns in
     let rds =
@@ -272,7 +216,6 @@ let () =
             | None -> ())
           readable
   done;
-  let wall = Unix.gettimeofday () -. t0 in
   Array.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) conns;
   (* final server-side counters over a fresh connection *)
   let stats_json =
@@ -293,60 +236,16 @@ let () =
       responses;
     Digest.to_hex (Digest.string (Buffer.contents b))
   in
-  let sorted = Array.copy latencies in
-  Array.sort Float.compare sorted;
-  (* [None] on an empty sample (a --requests 0 probe): the report gets
-     JSON null and the console prints "n/a" instead of crashing on
-     [sorted.(-1)] *)
-  let p50 = FS.Stats.nearest_rank sorted ~p:50.
-  and p99 = FS.Stats.nearest_rank sorted ~p:99. in
-  let throughput = float_of_int o.requests /. wall in
-  let percentile_json = function
-    | None -> FS.Json.Null
-    | Some v -> FS.Json.Number (v *. 1000.)
-  in
-  let percentile_cell = function
-    | None -> "n/a"
-    | Some v -> Printf.sprintf "%.2fms" (v *. 1000.)
-  in
   let report =
     FS.Json.Assoc
       [
         ("bench", FS.Json.String "serve-load");
-        ("socket", FS.Json.String o.socket);
         ("connections", FS.Json.Number (float_of_int (Array.length conns)));
         ("requests", FS.Json.Number (float_of_int o.requests));
         ("seed", FS.Json.Number (float_of_int o.seed));
-        ("wall_seconds", FS.Json.Number wall);
-        ("throughput_rps", FS.Json.Number throughput);
-        ("p50_ms", percentile_json p50);
-        ("p99_ms", percentile_json p99);
         ("overload_retries", FS.Json.Number (float_of_int !retries));
         ("response_digest", FS.Json.String digest);
         ("server_stats", stats_json);
       ]
   in
-  let oc = open_out o.out in
-  output_string oc (FS.Json.to_string ~pretty:true report);
-  output_char oc '\n';
-  close_out oc;
-  (match o.history with
-  | None -> ()
-  | Some path ->
-      let m = FS.Metrics.create ~jobs:(max 1 (Array.length conns)) () in
-      FS.Metrics.record m ~experiment:"serve/wall" ~seconds:wall;
-      (* percentile trend points only exist when there were requests *)
-      Option.iter
-        (fun v -> FS.Metrics.record m ~experiment:"serve/p50" ~seconds:v)
-        p50;
-      Option.iter
-        (fun v -> FS.Metrics.record m ~experiment:"serve/p99" ~seconds:v)
-        p99;
-      FS.Metrics.append_history m ~path ~run:"serve-load");
-  Printf.printf
-    "serve-load: %d requests over %d connections in %.2fs (%.0f req/s)\n"
-    o.requests (Array.length conns) wall throughput;
-  Printf.printf "serve-load: p50 %s  p99 %s  retries %d\n"
-    (percentile_cell p50) (percentile_cell p99) !retries;
-  Printf.printf "serve-load: digest %s\n" digest;
-  Printf.printf "serve-load: report written to %s\n" o.out
+  print_endline (FS.Json.to_string ~pretty:true report)

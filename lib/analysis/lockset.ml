@@ -7,7 +7,7 @@
    parallel.  The must-hold fixpoint then computes, per pooled def, the
    set of top-level mutexes held on *every* call path from a pooled
    root (intersection semantics, descending), so a helper only ever
-   invoked under [Metrics.write_mutex] is not flagged for touching what
+   invoked under [Cmt_loader.read_mutex] is not flagged for touching what
    that mutex guards.
 
    Races.  A top-level cell (ref / Hashtbl / container; [Atomic.t] is

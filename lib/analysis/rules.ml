@@ -208,7 +208,7 @@ let check_name (emit : emit) name loc =
       emit "output-discipline" ~loc
         ~suggestion:
           "library code returns data; route output through Report / Table / \
-           Event_log / Metrics, or take a Format.formatter"
+           Event_log, or take a Format.formatter"
         (Printf.sprintf "direct console output via %s inside lib/" name)
   | _ -> ()
 
@@ -357,8 +357,8 @@ let check_tree ~sources (g : Callgraph.t) =
       emitter ~file:c.Callgraph.cell_file acc "global-mutable-state"
         ~loc:c.Callgraph.cell_loc
         ~suggestion:
-          "thread the state through a [create]d handle, or guard it like \
-           Metrics' write lock"
+          "thread the state through a [create]d handle, or guard it with \
+           a top-level Mutex like Cmt_loader.read_mutex"
         (Printf.sprintf "top-level mutable state (%s) is shared by every domain"
            (match c.Callgraph.kind with
            | Callgraph.Ref -> "ref"

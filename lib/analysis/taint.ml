@@ -6,13 +6,13 @@
    top-level calls — the pure-looking helper three calls away from
    [Random.int] gets reported too, with the full chain.
 
-   Audited files (the [deep-nondet] entries in lint.allow: metrics,
-   budget, lockfile) are taint *barriers*: their defs still produce
+   Audited files (the [deep-nondet] entries in lint.allow, e.g. the
+   injectable [Clock]) are taint *barriers*: their defs still produce
    findings — which the allowlist then suppresses, keeping the entries
    visibly in use — but taint does not propagate through them to their
-   callers.  That is the audited-sink contract: a caller of
-   [Metrics.record] is not nondeterministic because the metrics file
-   timestamps itself.
+   callers.  That is the audited-sink contract: a caller of [Lockfile]
+   is not nondeterministic because its default clock reads the wall
+   time.
 
    Propagation runs in synchronized rounds (breadth-first over the call
    graph), so each tainted def's recorded witness is a shortest chain

@@ -92,7 +92,6 @@ module Pool = Search_exec.Pool
 module Par = Search_exec.Par
 module Shard = Search_exec.Shard
 module Memo = Search_exec.Memo
-module Metrics = Search_exec.Metrics
 
 (** {1 Resilience (supervised execution runtime)} *)
 

@@ -89,7 +89,7 @@ let scenario_of_json j =
   | None -> Error "missing \"kind\" field"
 
 (* ------------------------------------------------------------------ *)
-(* workload: the serve_load mix (bench/serve_load.ml), or a cheap
+(* workload: the full mix bench/serve_load.exe also drives, or a cheap
    subset for fuzz-sized scenarios *)
 
 let gen_request ~light prng =
@@ -100,6 +100,8 @@ let gen_request ~light prng =
     let ki, prng = Prng.int ~bound:4 prng in
     let fi, prng = Prng.int ~bound:3 prng in
     let k = 1 + ki in
+    (* keep f <= k so most queries are valid instances; the pool is small
+       on purpose — repeats are what make the shared cache hit *)
     let f = if fi > k then k else fi in
     (P.Bound { m = 2 + mi; k; f }, prng)
   end

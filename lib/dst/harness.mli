@@ -50,6 +50,17 @@ val scenario :
     [light false], no injection.
     @raise Search_numerics.Search_error.Error on non-positive sizes. *)
 
+val gen_request :
+  light:bool ->
+  Search_numerics.Prng.t ->
+  Search_serve.Protocol.request * Search_numerics.Prng.t
+(** One request of the seeded workload mix.  [light false] is the full
+    mix bench/serve_load.exe drives a live daemon with: ~50% bound
+    queries over a small parameter pool (so the shared cache hits), 20%
+    certify, 15% simulate, 10% sweep, 5% stats.  [light true] keeps to
+    cheap ops for fuzz-sized scenarios: bound queries, stats and a rare
+    8-sample simulation. *)
+
 val scenario_to_json : scenario -> Search_numerics.Json.t
 val scenario_of_json : Search_numerics.Json.t -> (scenario, string) result
 

@@ -8,9 +8,9 @@
     files).  This replaces the bare [Unix.lockf] scheme whose sentinel
     files survived kills and wedged every subsequent run.
 
-    Locks serialise short critical sections (a metrics merge, a corpus
-    write); waiting is bounded and gives up with [Io_failure] rather than
-    hanging forever. *)
+    Locks serialise short critical sections (a corpus write); waiting
+    is bounded and gives up with [Io_failure] rather than hanging
+    forever. *)
 
 val with_lock :
   ?clock:Clock.t ->

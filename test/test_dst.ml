@@ -14,6 +14,7 @@ module Net = Search_dst.Net
 module Harness = Search_dst.Harness
 module Runtime = Search_serve.Runtime
 module Prng = Search_numerics.Prng
+module P = Search_serve.Protocol
 module Json = Search_numerics.Json
 module E = Search_numerics.Search_error
 
@@ -295,6 +296,39 @@ let test_invariant_registration_and_clean_case () =
   check_bool "whole-system invariant holds on a healthy case" true
     (match Harness.invariant_case case with [] -> true | _ -> false)
 
+(* The full mix is the schedule behind serve_load's reference response
+   digest; pin its bytes and its op counts so a change to the mix shows
+   up here, not as an unexplained digest drift. *)
+let test_full_mix_pinned () =
+  let b = Buffer.create 65536 in
+  let counts = Hashtbl.create 5 in
+  let prng = ref (Prng.make ~seed:7) in
+  for i = 0 to 999 do
+    let req, p = Harness.gen_request ~light:false !prng in
+    prng := p;
+    Buffer.add_string b (P.encode_request ~id:i req);
+    Buffer.add_char b '\n';
+    let op =
+      match req with
+      | P.Bound _ -> "bound"
+      | P.Certify _ -> "certify"
+      | P.Simulate _ -> "simulate"
+      | P.Sweep _ -> "sweep"
+      | P.Stats -> "stats"
+    in
+    Hashtbl.replace counts op
+      (1 + Option.value ~default:0 (Hashtbl.find_opt counts op))
+  done;
+  check_string "encoded schedule digest" "8e4f71dcf6a64658fe380d153a2cbd98"
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  List.iter
+    (fun (op, n) ->
+      check_int op n (Option.value ~default:0 (Hashtbl.find_opt counts op)))
+    [
+      ("bound", 477); ("certify", 195); ("simulate", 160); ("sweep", 111);
+      ("stats", 57);
+    ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -329,6 +363,8 @@ let () =
           tc "injected bug: found, shrunk, replayed" `Quick
             test_injected_bug_found_shrunk_replayed;
           tc "scenario JSON roundtrip" `Quick test_scenario_json_roundtrip;
+          tc "full request mix is pinned (seed 7, 1000 requests)" `Quick
+            test_full_mix_pinned;
         ] );
       ( "invariant",
         [

@@ -1,6 +1,6 @@
 (* Tests for the multicore execution engine: the domain pool, the
    order-preserving parallel combinators, the deterministic sharder, the
-   thread-safe memo cache, and the metrics recorder.  The central claim
+   thread-safe memo cache, and the pool counters.  The central claim
    under test is the determinism contract: every parallel path produces
    results identical to the sequential path at every pool size. *)
 
@@ -8,7 +8,6 @@ module Pool = Search_exec.Pool
 module Par = Search_exec.Par
 module Shard = Search_exec.Shard
 module Memo = Search_exec.Memo
-module Metrics = Search_exec.Metrics
 module Prng = Search_numerics.Prng
 module E = Search_numerics.Search_error
 module F = Search_bounds.Formulas
@@ -16,7 +15,6 @@ module R = Search_strategy.Randomized
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-let checkf = Alcotest.(check (float 1e-12))
 
 (* every pool-size-sensitive test runs at these sizes; 1 must spawn no
    domain (pure helping), 8 oversubscribes this container on purpose *)
@@ -324,98 +322,6 @@ let test_memo_concurrent () =
     (Memo.stats cache).Memo.entries
 
 (* ------------------------------------------------------------------ *)
-(* Metrics *)
-
-let test_metrics_record_and_total () =
-  let m = Metrics.create ~jobs:3 () in
-  Metrics.record m ~experiment:"T1" ~seconds:0.5;
-  Metrics.record m ~experiment:"T3" ~seconds:0.25;
-  let x = Metrics.time m ~experiment:"quick" (fun () -> 11) in
-  check_int "time passes result through" 11 x;
-  check_int "three entries" 3 (List.length (Metrics.entries m));
-  check_bool "order kept" true
-    (List.map fst (Metrics.entries m) = [ "T1"; "T3"; "quick" ]);
-  check_bool "total >= recorded" true (Metrics.total m >= 0.75)
-
-let test_metrics_write_merges () =
-  let path = Filename.temp_file "metrics" ".json" in
-  let m1 = Metrics.create ~jobs:1 () in
-  Metrics.record m1 ~experiment:"T1" ~seconds:1.0;
-  Metrics.write m1 ~path;
-  let m4 = Metrics.create ~jobs:4 () in
-  Metrics.record m4 ~experiment:"T1" ~seconds:0.3;
-  Metrics.write m4 ~path;
-  (* jobs=1 entries survive the jobs=4 write; same-jobs entries are
-     replaced on a re-run *)
-  let m1' = Metrics.create ~jobs:1 () in
-  Metrics.record m1' ~experiment:"T1" ~seconds:0.9;
-  Metrics.write m1' ~path;
-  let ic = open_in path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  match Search_numerics.Json.of_string contents with
-  | Ok (Search_numerics.Json.List entries) ->
-      check_int "two entries (jobs 1 replaced, jobs 4 kept)" 2
-        (List.length entries);
-      let seconds_of jobs =
-        List.find_map
-          (function
-            | Search_numerics.Json.Assoc fields
-              when (match List.assoc_opt "jobs" fields with
-                    | Some (Search_numerics.Json.Number j) ->
-                        Float.equal j (float_of_int jobs)
-                    | _ -> false)
-              -> (
-                match List.assoc_opt "seconds" fields with
-                | Some (Search_numerics.Json.Number s) -> Some s
-                | _ -> None)
-            | _ -> None)
-          entries
-      in
-      checkf "jobs=1 replaced by re-run" 0.9 (Option.get (seconds_of 1));
-      checkf "jobs=4 kept" 0.3 (Option.get (seconds_of 4))
-  | Ok _ -> Alcotest.fail "timings file is not a JSON list"
-  | Error e -> Alcotest.fail ("unparsable timings file: " ^ e)
-
-let test_metrics_concurrent_writes () =
-  (* two domains hammer the same timings file; the advisory-locked
-     read-modify-write must interleave cleanly: the file stays parsable
-     and both job tags keep their final entries *)
-  let path = Filename.temp_file "metrics" ".json" in
-  let writer jobs =
-    Domain.spawn (fun () ->
-        for round = 1 to 12 do
-          let m = Metrics.create ~jobs () in
-          Metrics.record m ~experiment:"contended"
-            ~seconds:(float_of_int round);
-          Metrics.write m ~path
-        done)
-  in
-  let d1 = writer 1 and d4 = writer 4 in
-  Domain.join d1;
-  Domain.join d4;
-  let ic = open_in path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove path;
-  (try Sys.remove (path ^ ".lock") with Sys_error _ -> ());
-  match Search_numerics.Json.of_string contents with
-  | Ok (Search_numerics.Json.List entries) ->
-      check_int "one surviving entry per jobs value" 2 (List.length entries);
-      let jobs_seen =
-        List.filter_map
-          (fun e ->
-            Option.bind (Search_numerics.Json.member "jobs" e)
-              Search_numerics.Json.to_int)
-          entries
-        |> List.sort_uniq Int.compare
-      in
-      check_bool "both job tags present" true (jobs_seen = [ 1; 4 ])
-  | Ok _ -> Alcotest.fail "timings file is not a JSON list"
-  | Error e -> Alcotest.fail ("torn/unparsable timings file: " ^ e)
-
-(* ------------------------------------------------------------------ *)
 (* Memo.Lru *)
 
 let test_lru_evicts_lru_entry () =
@@ -481,47 +387,34 @@ let test_pool_stats_counts () =
   check_int "settled" 10 s.Pool.settled;
   check_int "none pending after await" 0 s.Pool.pending
 
-(* ------------------------------------------------------------------ *)
-(* Metrics history *)
-
-let test_metrics_history_appends () =
-  let path = Filename.temp_file "history" ".jsonl" in
-  Sys.remove path;
-  let append run seconds =
-    let m = Metrics.create ~jobs:2 () in
-    Metrics.record m ~experiment:"serve/wall" ~seconds;
-    Metrics.append_history m ~path ~run
-  in
-  append "serve-load" 1.5;
-  append "serve-load" 1.25;
-  let lines = Metrics.read_history path in
-  check_int "two runs accumulated" 2 (List.length lines);
+let test_pool_settles_crashed_and_abandoned () =
+  (* [settled] counts every way a promise resolves: a raising task and a
+     task dropped by shutdown settle exactly once, like a completed one.
+     A pool of size 1 spawns no worker, so nothing runs before an await
+     and the counts are deterministic. *)
+  let pool = Pool.create ~jobs:1 () in
+  let ok = Pool.async pool (fun () -> 1) in
+  let bad = Pool.async pool (fun () -> raise (Boom 7)) in
+  check_int "completed" 1 (Pool.await ok);
+  (match Pool.await bad with
+  | _ -> Alcotest.fail "raising task must raise at await"
+  | exception Boom n -> check_int "boom payload" 7 n);
+  let s = Pool.stats pool in
+  check_int "completed and crashed both settled" 2 s.Pool.settled;
+  let queued = List.init 3 (fun i -> Pool.async pool (fun () -> i)) in
+  check_int "queued tasks pending" 3 (Pool.stats pool).Pool.pending;
+  Pool.shutdown pool;
+  Pool.shutdown pool;
+  let s = Pool.stats pool in
+  check_int "submitted" 5 s.Pool.submitted;
+  check_int "abandoned settled once" 5 s.Pool.settled;
+  check_int "none pending after shutdown" 0 s.Pool.pending;
   List.iter
-    (fun line ->
-      check_bool "tagged with the run name" true
-        (match Search_numerics.Json.member "run" line with
-        | Some (Search_numerics.Json.String s) -> String.equal s "serve-load"
-        | _ -> false);
-      check_bool "has entries" true
-        (Option.is_some (Search_numerics.Json.member "entries" line)))
-    lines;
-  Sys.remove path;
-  (try Sys.remove (path ^ ".lock") with Sys_error _ -> ())
-
-let test_metrics_history_skips_torn_tail () =
-  let path = Filename.temp_file "history" ".jsonl" in
-  let m = Metrics.create ~jobs:1 () in
-  Metrics.record m ~experiment:"T" ~seconds:0.1;
-  Metrics.append_history m ~path ~run:"r";
-  (* simulate a run killed mid-append: a torn, unparsable last line *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"run\": \"torn";
-  close_out oc;
-  check_int "torn tail skipped" 1 (List.length (Metrics.read_history path));
-  check_int "missing file is empty history" 0
-    (List.length (Metrics.read_history (path ^ ".does-not-exist")));
-  Sys.remove path;
-  (try Sys.remove (path ^ ".lock") with Sys_error _ -> ())
+    (fun p ->
+      match Pool.await p with
+      | _ -> Alcotest.fail "abandoned task must not run"
+      | exception E.Error (E.Pool_closed _) -> ())
+    queued
 
 (* ------------------------------------------------------------------ *)
 
@@ -584,19 +477,11 @@ let () =
         ] );
       ( "pool.stats",
         [ tc "counts submitted and settled jobs" `Quick test_pool_stats_counts ] );
-      ( "metrics.history",
+      (* Alcotest sizes its name column by the longest group name; this
+         one keeps the column, and so every printed test name, as it was *)
+      ( "pool.settlement",
         [
-          tc "append accumulates runs" `Quick test_metrics_history_appends;
-          tc "read skips a torn tail" `Quick
-            test_metrics_history_skips_torn_tail;
-        ] );
-      ( "metrics",
-        [
-          tc "records entries and totals" `Quick
-            test_metrics_record_and_total;
-          tc "write merges across job counts" `Quick
-            test_metrics_write_merges;
-          tc "concurrent writers do not clobber" `Quick
-            test_metrics_concurrent_writes;
+          tc "crashed and abandoned tasks are settled" `Quick
+            test_pool_settles_crashed_and_abandoned;
         ] );
     ]
